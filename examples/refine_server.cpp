@@ -25,8 +25,8 @@
 //   ./refine_server --journal /tmp/por-wal --resume
 //
 // The --resume run submits nothing: it replays the journal, re-admits
-// every acknowledged-but-unfinished job (resuming from per-view PORC
-// checkpoints), finishes them, and prints the recovered outcomes —
+// every acknowledged-but-unfinished job (restoring the views it had
+// journaled), finishes them, and prints the recovered outcomes —
 // bitwise-identical to what the murdered process would have produced.
 // --deadline-ms puts a per-job deadline on the burst so the demo also
 // shows jobs surfacing kTimedOut instead of hanging.
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
         "  --journal DIR    write-ahead journal every job transition into DIR;\n"
         "                   the process becomes kill -9-safe (DESIGN.md 15)\n"
         "  --resume         submit nothing; replay DIR, re-admit unfinished\n"
-        "                   jobs from their checkpoints and finish them\n"
+        "                   jobs with their journaled views, finish them\n"
         "  --deadline-ms N  per-job deadline; overrunning jobs surface\n"
         "                   timed_out instead of running forever (0 = none)\n\n"
         "Environment:\n  POR_FORCE_ISA=sse2|avx2|avx512   pin the SIMD tier of the matching\n                                   kernels (default: best the CPU has;\n                                   clamped to what is available)\n");
@@ -114,7 +114,6 @@ int main(int argc, char** argv) {
   options.workers = workers;
   options.queue_capacity = queue;
   options.journal_dir = journal_dir;
-  options.checkpoint_flush_every = 1;  // per-view durability for the demo
   if (deadline_ms > 0) {
     options.default_deadline_ns =
         static_cast<std::uint64_t>(deadline_ms) * 1'000'000ull;

@@ -12,14 +12,14 @@
 //
 // Out-of-core (DESIGN.md §14): --shards true writes the view stack as
 // a sharded store under <workdir>/views.shards.* instead of a
-// monolithic PORS file and refines every cycle through
-// core::parallel_refine_sharded, bounding the master's resident view
-// cache to --max_resident_mb (0 = unbounded).
+// monolithic PORS file; core::parallel_refine_files reads either
+// format and, over shards, bounds the master's resident view cache to
+// --max_resident_mb (0 = unbounded).
 //
-// Resilience (DESIGN.md §10): --checkpoint true records every refined
-// view of each cycle to <workdir>/ckpt_cycle_<n>.porc; with --resume
-// true an interrupted cycle restores those views instead of refining
-// them again.  --io_retries N retries transient master-side file reads
+// Resilience (DESIGN.md §10): --checkpoint true journals every refined
+// view of each cycle under the directory <workdir>/ckpt_cycle_<n>; with
+// --resume true an interrupted cycle restores those views instead of
+// refining them again.  --io_retries N retries transient master-side file reads
 // with capped exponential backoff.  --kill_rank R kills that worker
 // rank after --kill_at_step refined views in every cycle; the heartbeat
 // detector reassigns its views and the output files are
@@ -165,19 +165,13 @@ int main(int argc, char** argv) {
 
     refiner_config.resilience.checkpoint_path =
         use_checkpoint
-            ? workdir + "/ckpt_cycle_" + std::to_string(cycle) + ".porc"
+            ? workdir + "/ckpt_cycle_" + std::to_string(cycle)
             : std::string();
 
     std::uint64_t restored = 0, reassigned = 0, dead = 0;
     vmpi::run(ranks, fault_plan, [&](vmpi::Comm& comm) {
-      const auto r =
-          use_shards
-              ? core::parallel_refine_sharded(comm, map_in, stack_path,
-                                              orient_in, orient_out,
-                                              refiner_config)
-              : core::parallel_refine_files(comm, map_in, stack_path,
-                                            orient_in, orient_out,
-                                            refiner_config);
+      const auto r = core::parallel_refine_files(
+          comm, map_in, stack_path, orient_in, orient_out, refiner_config);
       if (comm.is_root()) {
         restored = r.restored_views;
         reassigned = r.reassigned_views;

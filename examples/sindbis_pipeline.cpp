@@ -17,7 +17,7 @@
 //
 //   ./sindbis_pipeline [--l 48] [--views 60] [--snr 2] [--ranks 4]
 //                      [--fft_threads 1] [--metrics-out report.json]
-//                      [--checkpoint ckpt.porc] [--resume true]
+//                      [--checkpoint CKPT_DIR] [--resume true]
 //                      [--io_retries 3] [--kill_rank R] [--kill_at_step S]
 //                      [--heartbeat_ms 500]
 //                      [--shards DIR] [--prefetch_depth 2]
@@ -25,7 +25,7 @@
 //
 // Out-of-core demo (DESIGN.md §14): --shards DIR writes the simulated
 // stack, the map and the initial orientations under DIR as a sharded
-// view store and refines through core::parallel_refine_sharded — the
+// view store and refines through core::parallel_refine_files — the
 // paper-scale I/O model where the master never holds the whole stack.
 // --max_resident_mb bounds its resident shard cache; results are
 // bitwise-identical to the in-memory path on the same inputs.
@@ -39,9 +39,9 @@
 // installs a fault plan that kills worker rank R after it has refined
 // S views; the master's heartbeat detector notices the silence,
 // redistributes R's unfinished views, and the refined orientations are
-// bitwise-identical to a fault-free run.  --checkpoint records every
-// refined view; rerunning with --resume restores them instead of
-// recomputing.
+// bitwise-identical to a fault-free run.  --checkpoint journals every
+// refined view under the given directory; rerunning with --resume
+// restores them instead of recomputing.
 
 #include <algorithm>
 #include <chrono>
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   util::CliParser cli(argc, argv);
   if (cli.has("help")) {
     std::printf(
-        "usage: sindbis_pipeline [--l 48] [--views 60] [--snr 2] [--ranks 4]\n\n    [--fft_threads 1] [--refine_workers 1] [--r_map R]\n\n    [--metrics-out report.json] [--checkpoint ckpt.porc] [--resume true]\n\n    [--io_retries 1] [--kill_rank R --kill_at_step N] [--heartbeat_ms 500]\n\n    [--shards DIR] [--prefetch_depth 2] [--max_resident_mb 0]\n\n"
+        "usage: sindbis_pipeline [--l 48] [--views 60] [--snr 2] [--ranks 4]\n\n    [--fft_threads 1] [--refine_workers 1] [--r_map R]\n\n    [--metrics-out report.json] [--checkpoint CKPT_DIR] [--resume true]\n\n    [--io_retries 1] [--kill_rank R --kill_at_step N] [--heartbeat_ms 500]\n\n    [--shards DIR] [--prefetch_depth 2] [--max_resident_mb 0]\n\n"
         "Environment:\n  POR_FORCE_ISA=sse2|avx2|avx512   pin the SIMD tier of the matching\n                                   kernels (default: best the CPU has;\n                                   clamped to what is available)\n");
     return 0;
   }
@@ -235,9 +235,9 @@ int main(int argc, char** argv) {
                    ? core::parallel_refine(comm, truth_map, l, views,
                                            old_orientations, centers,
                                            refiner_config)
-                   : core::parallel_refine_sharded(comm, shard_map, shard_base,
-                                                   shard_in, shard_out,
-                                                   refiner_config);
+                   : core::parallel_refine_files(comm, shard_map, shard_base,
+                                                 shard_in, shard_out,
+                                                 refiner_config);
       if (comm.is_root()) {
         results = std::move(r.results);
         obs_report = std::move(r.obs);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -12,6 +10,7 @@
 #include <string_view>
 #include <utility>
 
+#include "por/core/view_record.hpp"
 #include "por/em/pad.hpp"
 #include "por/em/projection.hpp"
 #include "por/fft/parallel_fft3d.hpp"
@@ -19,8 +18,9 @@
 #include "por/io/stack_io.hpp"
 #include "por/io/orientation_io.hpp"
 #include "por/io/master_io.hpp"
+#include "por/journal/journal.hpp"
 #include "por/obs/registry.hpp"
-#include "por/resilience/checkpoint.hpp"
+#include "por/resilience/error.hpp"
 #include "por/resilience/retry.hpp"
 #include "por/serve/scheduler.hpp"
 #include "por/stream/view_cursor.hpp"
@@ -57,38 +57,6 @@ struct ResultMsg {
   std::uint64_t view_index = kDoneIndex;
   ViewResult result;
 };
-
-resilience::CheckpointRecord to_record(std::uint64_t index,
-                                       const ViewResult& vr) {
-  resilience::CheckpointRecord rec;
-  rec.view_index = index;
-  rec.theta = vr.orientation.theta;
-  rec.phi = vr.orientation.phi;
-  rec.omega = vr.orientation.omega;
-  rec.center_x = vr.center_x;
-  rec.center_y = vr.center_y;
-  rec.final_distance = vr.final_distance;
-  rec.matchings = vr.matchings;
-  rec.cache_hits = vr.cache_hits;
-  rec.center_evals = vr.center_evals;
-  rec.window_slides = vr.window_slides;
-  rec.quarantined = vr.quarantined;
-  return rec;
-}
-
-ViewResult from_record(const resilience::CheckpointRecord& rec) {
-  ViewResult vr;
-  vr.orientation = em::Orientation{rec.theta, rec.phi, rec.omega};
-  vr.center_x = rec.center_x;
-  vr.center_y = rec.center_y;
-  vr.final_distance = rec.final_distance;
-  vr.matchings = rec.matchings;
-  vr.cache_hits = rec.cache_hits;
-  vr.center_evals = rec.center_evals;
-  vr.window_slides = rec.window_slides;
-  vr.quarantined = rec.quarantined;
-  return vr;
-}
 
 /// Scoped override of the rank's communication deadline
 /// (ResilienceOptions::comm_deadline); restores the previous deadline
@@ -234,28 +202,34 @@ ParallelRefineReport refine_distributed(
     // Checkpoint restore (step 0 of a resumed run): views already in
     // the log are final — per-view refinement is deterministic, so
     // restoring beats recomputing bit-for-bit.
-    std::vector<resilience::CheckpointRecord> seed;
     const ResilienceOptions& res = config.resilience;
-    if (!res.checkpoint_path.empty() && res.resume) {
-      seed = resilience::load_checkpoint(res.checkpoint_path);
-      for (const auto& rec : seed) {
-        if (rec.view_index >= total_views) {
+    std::optional<journal::Journal> checkpoint;
+    if (!res.checkpoint_path.empty()) {
+      checkpoint.emplace(res.checkpoint_path);
+      if (!res.resume && !checkpoint->replayed().records.empty()) {
+        checkpoint->discard_replayed();
+        checkpoint->rewrite({});  // a fresh run starts from an empty log
+      }
+      for (const journal::Record& rec : checkpoint->replayed().records) {
+        if (rec.type != kViewRecordType) {
+          throw resilience::corrupt_error(
+              "parallel_refine: checkpoint record of type " +
+              std::to_string(rec.type) + " in " + res.checkpoint_path);
+        }
+        const ViewRecord view = decode_view_record(rec.payload);
+        if (view.view >= total_views) {
           util::log_warn("parallel_refine: checkpoint record for view ",
-                         rec.view_index, " outside stack of ", total_views,
+                         view.view, " outside stack of ", total_views,
                          " views; ignored");
           continue;
         }
-        if (recorded[rec.view_index]) continue;
-        recorded[rec.view_index] = 1;
-        report.results[rec.view_index] = from_record(rec);
+        if (recorded[view.view]) continue;
+        recorded[view.view] = 1;
+        report.results[view.view] = view.result;
         ++n_recorded;
         ++report.restored_views;
       }
-    }
-    std::optional<resilience::CheckpointWriter> checkpoint;
-    if (!res.checkpoint_path.empty()) {
-      checkpoint.emplace(res.checkpoint_path, res.checkpoint_flush_every,
-                         std::move(seed));
+      checkpoint->discard_replayed();
     }
 
     const auto record_result = [&](std::uint64_t index, const ViewResult& vr) {
@@ -267,7 +241,7 @@ ParallelRefineReport refine_distributed(
       recorded[index] = 1;
       report.results[index] = vr;
       ++n_recorded;
-      if (checkpoint) checkpoint->append(to_record(index, vr));
+      if (checkpoint) append_view_record(*checkpoint, {0, index, vr});
     };
     // One reused view-sized buffer for every master-local refinement;
     // the stack itself stays out of core.
@@ -518,7 +492,7 @@ ParallelRefineReport refine_distributed(
         }
       }
     }
-    if (checkpoint) checkpoint->flush();
+    if (checkpoint) checkpoint->sync();
 
     // Release every worker — including zombies, which drain their
     // queue until this empty control message arrives.
@@ -763,28 +737,6 @@ ParallelRefineReport parallel_refine_files(
                            "refined by por::core::parallel_refine_files");
   }
   return report;
-}
-
-ParallelRefineReport parallel_refine_sharded(
-    vmpi::Comm& comm, const std::string& map_path,
-    const std::string& shard_base, const std::string& orientations_in_path,
-    const std::string& orientations_out_path, const RefinerConfig& config) {
-  // The file driver auto-detects sharded manifests by magic, so the
-  // sharded entry point is the same code path with the contract made
-  // explicit in the name (and a type error for a non-sharded input).
-  if (comm.is_root()) {
-    std::ifstream probe(shard_base, std::ios::binary);
-    char magic[4] = {};
-    probe.read(magic, 4);
-    if (!probe || std::memcmp(magic, "PORM", 4) != 0) {
-      throw resilience::corrupt_error(
-          "parallel_refine_sharded: not a sharded-stack manifest: " +
-          shard_base);
-    }
-  }
-  return parallel_refine_files(comm, map_path, shard_base,
-                               orientations_in_path, orientations_out_path,
-                               config);
 }
 
 }  // namespace por::core

@@ -25,9 +25,9 @@
 // deterministic, so the recovered run's orientation file is
 // bitwise-identical to a fault-free one.  With
 // config.resilience.checkpoint_path set, the master appends each
-// refined view to an atomic CRC-tagged checkpoint; with .resume it
-// restores finished views from that file and distributes only the
-// remainder.
+// refined view as a record (por/core/view_record.hpp) to a por::journal
+// in that directory; with .resume it restores the finished views from
+// the journal and distributes only the remainder.
 #pragma once
 
 #include <string>
@@ -87,20 +87,12 @@ struct ParallelRefineReport {
 /// writes the refined orientation file at the end.  `stack_path` may
 /// be a monolithic PORS stack or a sharded-stack manifest; either is
 /// consumed through a stream::ViewSource with config.stream's
-/// prefetch/residency knobs.
+/// prefetch/residency knobs, so over a sharded stack the master's
+/// working set is bounded by config.stream.max_resident_mb instead of
+/// the stack size.  Results are bitwise-identical for both formats.
 [[nodiscard]] ParallelRefineReport parallel_refine_files(
     vmpi::Comm& comm, const std::string& map_path,
     const std::string& stack_path, const std::string& orientations_in_path,
-    const std::string& orientations_out_path, const RefinerConfig& config);
-
-/// Out-of-core SPMD driver over a sharded stack produced by the
-/// stack_shard tool or stream::shard_stack_file.  Identical protocol
-/// and bitwise-identical results to parallel_refine_files on the
-/// equivalent monolithic stack; the master's working set is bounded by
-/// config.stream.max_resident_mb instead of the stack size.
-[[nodiscard]] ParallelRefineReport parallel_refine_sharded(
-    vmpi::Comm& comm, const std::string& map_path,
-    const std::string& shard_base, const std::string& orientations_in_path,
     const std::string& orientations_out_path, const RefinerConfig& config);
 
 }  // namespace por::core

@@ -32,15 +32,15 @@ namespace por::core {
 /// The defaults reproduce the pre-resilience behavior exactly: no
 /// checkpoint, no communication deadline, no retries.
 struct ResilienceOptions {
-  /// Master-side checkpoint log ("PORC"): every refined view is
-  /// appended (atomic temp+rename, CRC-tagged) so an interrupted run
-  /// can restart without repeating finished work.  Empty = disabled.
+  /// Master-side checkpoint: a por::journal directory to which every
+  /// refined view is appended as a view record (por/core/view_record.hpp)
+  /// so an interrupted run can restart without repeating finished
+  /// work.  Without `resume` the run starts the journal empty.  Empty
+  /// = disabled.
   std::string checkpoint_path;
   /// Resume from `checkpoint_path`: views already recorded there are
   /// restored and only the remainder is distributed and refined.
   bool resume = false;
-  /// Records buffered between atomic checkpoint rewrites.
-  std::size_t checkpoint_flush_every = 8;
   /// Master-side failure detector: if no worker message (result /
   /// heartbeat / done) arrives for this long while views are still
   /// outstanding, silent ranks holding work are declared dead and

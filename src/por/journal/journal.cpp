@@ -262,6 +262,25 @@ Journal::Journal(std::string dir, JournalOptions options)
     }
   }
 
+  if (!segments.empty()) {
+    const SegmentInfo& last = segments.back();
+    if (last.torn || last.file_bytes != last.valid_bytes) {
+      // Self-heal: atomically rewrite the final segment down to its
+      // intact prefix so resumed appends never abut garbage bytes.
+      // (Before the records move into replayed_ below.)
+      torn_tails_->add();
+      util::log_warn("journal: healed torn tail of ", last.path, " (",
+                     last.file_bytes - last.valid_bytes, " bytes dropped)");
+      resilience::atomic_write_file(last.path, [&](std::ostream& out) {
+        out << encode_header(last.seq, last.flags);
+        for (const Record& record : last.records) {
+          out << encode_frame(record.type, record.payload.data(),
+                              record.payload.size());
+        }
+      });
+    }
+  }
+
   for (SegmentInfo& segment : segments) {
     ++replayed_.segments;
     replayed_.torn_bytes += segment.file_bytes - segment.valid_bytes;
@@ -271,31 +290,8 @@ Journal::Journal(std::string dir, JournalOptions options)
     }
   }
 
-  if (segments.empty()) {
-    seq_ = 1;
-    open_segment(seq_, /*truncate=*/true);
-  } else {
-    SegmentInfo& last = segments.back();
-    seq_ = last.seq;
-    if (last.torn || last.file_bytes != last.valid_bytes) {
-      // Self-heal: atomically rewrite the final segment down to its
-      // intact prefix so resumed appends never abut garbage bytes.
-      torn_tails_->add();
-      util::log_warn("journal: healed torn tail of ", last.path, " (",
-                     last.file_bytes - last.valid_bytes, " bytes dropped)");
-      const std::uint32_t flags = last.flags;
-      const std::uint64_t seq = last.seq;
-      const std::vector<Record> keep = last.records;  // re-encode canonical
-      resilience::atomic_write_file(last.path, [&](std::ostream& out) {
-        out << encode_header(seq, flags);
-        for (const Record& record : keep) {
-          out << encode_frame(record.type, record.payload.data(),
-                              record.payload.size());
-        }
-      });
-    }
-    open_segment(seq_, /*truncate=*/false);
-  }
+  seq_ = segments.empty() ? 1 : segments.back().seq;
+  open_segment(seq_, /*truncate=*/segments.empty());
   segments_gauge_->set(static_cast<double>(replayed_.segments == 0
                                                ? 1
                                                : replayed_.segments));
@@ -303,7 +299,8 @@ Journal::Journal(std::string dir, JournalOptions options)
 
 Journal::~Journal() {
   try {
-    sync();
+    const std::lock_guard<std::mutex> lock(mutex_);
+    sync_locked();
   } catch (...) {
     // Destructor sync is best-effort; explicit sync()/append() are the
     // calls whose failures matter (and throw).
@@ -343,11 +340,11 @@ void Journal::open_segment(std::uint64_t seq, bool truncate) {
     std::error_code ec;
     segment_bytes_ = static_cast<std::size_t>(fs::file_size(path, ec));
   }
-  dirty_ = false;
+  unsynced_ = 0;
 }
 
 void Journal::rotate() {
-  sync();
+  sync_locked();
   out_.close();
   ++seq_;
   open_segment(seq_, /*truncate=*/true);
@@ -361,6 +358,7 @@ void Journal::append(std::uint32_t type, const void* payload,
                                   std::to_string(bytes));
   }
   const std::string frame = encode_frame(type, payload, bytes);
+  const std::lock_guard<std::mutex> lock(mutex_);
   const std::string path = segment_path(seq_);
   sync_hook_point(SyncOp::kWrite, path);
   out_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
@@ -371,20 +369,18 @@ void Journal::append(std::uint32_t type, const void* payload,
   }
   appends_->add();
   segment_bytes_ += frame.size();
-  dirty_ = true;
-  if (durable && options_.fsync_durable_appends) {
-    sync_hook_point(SyncOp::kFsync, path);
-    if (!resilience::fsync_path(path)) {
-      throw resilience::transient_error("journal: fsync failed for " + path);
-    }
-    fsyncs_->add();
-    dirty_ = false;
-  }
+  ++unsynced_;
+  if (durable) sync_locked();
   if (segment_bytes_ >= options_.max_segment_bytes) rotate();
 }
 
-void Journal::sync() {
-  if (!dirty_) return;
+void Journal::sync(std::size_t min_unsynced) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (unsynced_ >= min_unsynced) sync_locked();
+}
+
+void Journal::sync_locked() {
+  if (unsynced_ == 0) return;
   const std::string path = segment_path(seq_);
   out_.flush();
   if (!out_) {
@@ -395,13 +391,14 @@ void Journal::sync() {
     throw resilience::transient_error("journal: fsync failed for " + path);
   }
   fsyncs_->add();
-  dirty_ = false;
+  unsynced_ = 0;
 }
 
 void Journal::rewrite(const std::vector<Record>& records) {
+  const std::lock_guard<std::mutex> lock(mutex_);
   // Settle the active segment first so a crash mid-compaction leaves a
   // fully-replayable old journal.
-  sync();
+  sync_locked();
   out_.close();
 
   const std::uint64_t old_seq = seq_;

@@ -35,6 +35,9 @@
 // is fsync'd, and only then are the old segments unlinked — a crash at
 // any point leaves either the old segment set or the new one.
 //
+// Thread-safe: appends, syncs and rewrites serialize on the journal's
+// own lock, so a caller may fsync without holding any lock of its own.
+//
 // Observability: journal.appends, journal.fsyncs, journal.segments
 // (gauge), journal.replayed_records, journal.torn_tails.
 #pragma once
@@ -42,6 +45,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -55,12 +59,6 @@ namespace por::journal {
 struct JournalOptions {
   /// Rotate the active segment once its size reaches this.
   std::size_t max_segment_bytes = 4u << 20;
-  /// fsync the active segment on every append(..., durable=true) call.
-  /// Appends with durable=false are flushed to the kernel (surviving a
-  /// process kill) but not fsync'd (an OS crash may drop them); the
-  /// service journals job SUBMISSION durably — that is the ack the
-  /// client holds us to — and lifecycle transitions cheaply.
-  bool fsync_durable_appends = true;
 };
 
 /// One replayed record: the type tag and the raw payload bytes.
@@ -93,10 +91,12 @@ class Journal {
   void discard_replayed() { replayed_ = ReplayResult{}; }
 
   /// Append one record.  `durable` appends are fsync'd before
-  /// returning (per options; see JournalOptions) — the caller may
-  /// acknowledge the event to its client the moment this returns.
-  /// Throws resilience::Error{kTransient} on I/O failure; the journal
-  /// is still consistent (the torn tail will be healed on reopen).
+  /// returning — the caller may acknowledge the event to its client
+  /// the moment this returns.  Other appends are flushed to the kernel
+  /// (surviving a process kill) but not fsync'd (an OS crash may drop
+  /// them) until the next sync.  Throws resilience::Error{kTransient}
+  /// on I/O failure; the journal is still consistent (the torn tail
+  /// will be healed on reopen).
   void append(std::uint32_t type, const void* payload, std::size_t bytes,
               bool durable = true);
   void append(std::uint32_t type, const std::string& payload,
@@ -104,8 +104,9 @@ class Journal {
     append(type, payload.data(), payload.size(), durable);
   }
 
-  /// fsync the active segment now (flushes any non-durable appends).
-  void sync();
+  /// fsync the active segment if at least `min_unsynced` appends are
+  /// not yet fsync'd (the default: any).
+  void sync(std::size_t min_unsynced = 1);
 
   /// Compaction: atomically replace the whole journal with `records`
   /// as one fresh segment of the next sequence number, then unlink the
@@ -114,7 +115,10 @@ class Journal {
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
   /// Sequence number of the active segment.
-  [[nodiscard]] std::uint64_t active_segment() const { return seq_; }
+  [[nodiscard]] std::uint64_t active_segment() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return seq_;
+  }
 
   /// Read-only replay of a journal directory (tools, tests, and the
   /// constructor).  Same tolerance/corruption rules as the class doc.
@@ -123,15 +127,17 @@ class Journal {
  private:
   void open_segment(std::uint64_t seq, bool truncate);
   void rotate();
+  void sync_locked();
   [[nodiscard]] std::string segment_path(std::uint64_t seq) const;
 
   std::string dir_;
   JournalOptions options_;
   ReplayResult replayed_;
+  mutable std::mutex mutex_;        ///< guards the writer state below
   std::uint64_t seq_ = 0;           ///< active segment sequence
   std::size_t segment_bytes_ = 0;   ///< bytes written to the active segment
   std::ofstream out_;               ///< active segment stream
-  bool dirty_ = false;              ///< unsynced appends outstanding
+  std::size_t unsynced_ = 0;        ///< appends not yet fsync'd
 
   obs::Counter* appends_;
   obs::Counter* fsyncs_;

@@ -11,11 +11,11 @@ const char* to_string(JobRecordType type) {
   switch (type) {
     case JobRecordType::kSubmitted: return "submitted";
     case JobRecordType::kRunning: return "running";
-    case JobRecordType::kViewBatchDone: return "view_batch_done";
     case JobRecordType::kDone: return "done";
     case JobRecordType::kFailed: return "failed";
     case JobRecordType::kCancelled: return "cancelled";
     case JobRecordType::kTimedOut: return "timed_out";
+    case JobRecordType::kView: return "view";
   }
   return "?";
 }
@@ -198,7 +198,6 @@ SubmittedJob decode_submitted(const std::string& payload) {
 std::string encode_lifecycle(const LifecycleEvent& event) {
   std::string out;
   put_u64(out, event.job);
-  put_u64(out, event.views_done);
   put_string(out, event.error);
   return out;
 }
@@ -207,7 +206,6 @@ LifecycleEvent decode_lifecycle(const std::string& payload) {
   Reader in(payload);
   LifecycleEvent event;
   event.job = in.get_u64();
-  event.views_done = in.get_u64();
   event.error = in.get_string();
   in.expect_exhausted();
   return event;

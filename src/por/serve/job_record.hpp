@@ -1,13 +1,14 @@
 // por/serve/job_record.hpp
 //
 // The wire format the RefineService journals through por::journal
-// (DESIGN.md §15).  One record type per job-lifecycle transition; the
-// submission record carries the full request (tenant, model,
-// idempotency key, deadline, views, initial orientations, centers) so
-// a restarted process can re-admit the job from the journal alone.
-// Lifecycle records carry only the job id (+ error text for failures):
-// per-view progress lives in the job's PORC checkpoint file, results
-// of completed jobs are rebuilt from the same checkpoint on replay.
+// (DESIGN.md §15).  One record type per job-lifecycle transition plus
+// one per refined view; the submission record carries the full request
+// (tenant, model, idempotency key, deadline, views, initial
+// orientations, centers) so a restarted process can re-admit the job
+// from the journal alone.  Lifecycle records carry only the job id (+
+// error text for failures).  Each finished view is a core::ViewRecord
+// (por/core/view_record.hpp), so the journal alone restores the
+// finished views of an incomplete job and the results of a done one.
 //
 // Encoding is little-endian, length-prefixed, and strictly bounds
 // checked: decode_* throws resilience::Error{kCorrupt} on any
@@ -22,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "por/core/view_record.hpp"
 #include "por/em/grid.hpp"
 #include "por/em/orientation.hpp"
 
@@ -31,11 +33,12 @@ namespace por::serve {
 enum class JobRecordType : std::uint32_t {
   kSubmitted = 1,  ///< full request; fsync'd BEFORE the client ack
   kRunning = 2,    ///< dispatcher picked the job up
-  kViewBatchDone = 3,  ///< progress marker: views_done views checkpointed
-  kDone = 4,       ///< results live in the job's checkpoint file
+  // 3 is retired (a progress marker replay ignored); do not reuse it.
+  kDone = 4,       ///< every view record of the job precedes it
   kFailed = 5,     ///< payload carries the error text
   kCancelled = 6,
   kTimedOut = 7,
+  kView = core::kViewRecordType,  ///< one refined view (core::ViewRecord)
 };
 
 [[nodiscard]] const char* to_string(JobRecordType type);
@@ -56,11 +59,10 @@ struct SubmittedJob {
   std::vector<std::pair<double, double>> centers;
 };
 
-/// A decoded lifecycle record (everything except kSubmitted).
+/// A decoded lifecycle record (everything except kSubmitted and kView).
 struct LifecycleEvent {
   std::uint64_t job = 0;
-  std::uint64_t views_done = 0;  ///< kViewBatchDone only
-  std::string error;             ///< kFailed only
+  std::string error;  ///< kFailed only
 };
 
 [[nodiscard]] std::string encode_submitted(const SubmittedJob& job);

@@ -63,6 +63,7 @@ RefineService::RefineService(ServiceOptions options)
   timed_out_ = &registry.counter("serve.jobs.timed_out");
   deduplicated_ = &registry.counter("serve.jobs.deduplicated");
   replayed_jobs_ = &registry.counter("recovery.replayed_jobs");
+  duplicate_views_ = &registry.counter("recovery.duplicate_views");
   rejected_queue_ = &registry.counter("serve.jobs.rejected.queue_full");
   rejected_quota_ = &registry.counter("serve.jobs.rejected.quota");
   rejected_other_ = &registry.counter("serve.jobs.rejected.other");
@@ -77,10 +78,7 @@ RefineService::RefineService(ServiceOptions options)
   queue_ = std::make_unique<JobChannel<std::uint64_t>>(options_.queue_capacity);
 
   if (!options_.journal_dir.empty()) {
-    journal::JournalOptions journal_options;
-    journal_options.max_segment_bytes = options_.journal_max_segment_bytes;
-    journal_ = std::make_unique<journal::Journal>(options_.journal_dir,
-                                                  journal_options);
+    journal_ = std::make_unique<journal::Journal>(options_.journal_dir);
     // Parse the replay NOW (not in recover()): next_job_id_ and the
     // idempotency index must be correct before the first submit, even
     // if the caller never recovers.
@@ -156,16 +154,13 @@ void RefineService::journal_append_locked(JobRecordType type,
   }
 }
 
-std::string RefineService::checkpoint_path(std::uint64_t job) const {
-  return options_.journal_dir + "/job-" + std::to_string(job) + ".porc";
-}
-
 void RefineService::replay_journal_locked() {
   // Fold the journal's record stream into one state per job: the
-  // submission payload plus the LAST terminal transition (if any).
-  // Records the codec rejects are corruption — the journal CRC proved
-  // the bytes are exactly what a past process wrote, so a malformed
-  // payload is a logic error worth failing loudly over, not skipping.
+  // submission payload, its view records, and the LAST terminal
+  // transition (if any).  Records the codec rejects — and record types
+  // it does not know — are corruption: the journal CRC proved the
+  // bytes are exactly what a past process wrote, so a malformed record
+  // is a logic error worth failing loudly over, not skipping.
   for (const journal::Record& record : journal_->replayed().records) {
     const auto type = static_cast<JobRecordType>(record.type);
     switch (type) {
@@ -177,10 +172,19 @@ void RefineService::replay_journal_locked() {
         break;
       }
       case JobRecordType::kRunning:
-      case JobRecordType::kViewBatchDone:
-        // Progress markers; per-view progress is recovered from the
-        // job's checkpoint file, not the journal.
+        break;  // a dispatch marker; progress lives in the view records
+      case JobRecordType::kView: {
+        const core::ViewRecord view = core::decode_view_record(record.payload);
+        auto it = recovery_plan_.find(view.job);
+        if (it == recovery_plan_.end()) break;  // submission compacted away
+        // A view is journaled once, by the one execution of it; a
+        // second record means it ran twice.  The first record wins
+        // (both are bitwise equal by per-view determinism).
+        if (!it->second.views.emplace(view.view, view.result).second) {
+          duplicate_views_->add();
+        }
         break;
+      }
       case JobRecordType::kDone:
       case JobRecordType::kFailed:
       case JobRecordType::kCancelled:
@@ -201,11 +205,14 @@ void RefineService::replay_journal_locked() {
         it->second.error = event.error;
         break;
       }
+      default:
+        throw resilience::corrupt_error(
+            "serve: unknown journal record type " +
+            std::to_string(record.type));
     }
-    // Idempotency keys must dedup from the first post-restart submit
-    // on, before recover() materializes the jobs.
-    // (kSubmitted only; the key lives in the submission payload.)
   }
+  // Idempotency keys must dedup from the first post-restart submit on,
+  // before recover() materializes the jobs.
   for (const auto& [id, recovered] : recovery_plan_) {
     if (!recovered.request.idempotency_key.empty()) {
       idempotency_[recovered.request.idempotency_key] = id;
@@ -235,41 +242,28 @@ std::size_t RefineService::recover() {
 
       if (recovered.state != JobState::kQueued) {
         // Terminal already: rematerialize so status()/wait()/dedup keep
-        // answering for it.  Results of a kDone job live in its
-        // checkpoint — the kDone record is only journaled after the
-        // final checkpoint flush.
+        // answering for it.  A kDone job's results are its view
+        // records — the kDone record is only journaled after them.
         job->state = recovered.state;
         job->end_ns = job->submit_ns;
         if (recovered.state == JobState::kDone) {
-          const std::vector<resilience::CheckpointRecord> records =
-              resilience::load_checkpoint(checkpoint_path(id));
-          // Size from the checkpoint, not the submission: a compacted
+          // Size from the records, not the submission: a compacted
           // snapshot strips a finished job's view pixels.
           std::size_t n_views = request.views.size();
-          for (const resilience::CheckpointRecord& cp : records) {
+          if (!recovered.views.empty()) {
             n_views = std::max<std::size_t>(
-                n_views, static_cast<std::size_t>(cp.view_index) + 1);
+                n_views, recovered.views.rbegin()->first + 1);
           }
           job->results.resize(n_views);
-          for (const resilience::CheckpointRecord& cp : records) {
-            if (cp.view_index >= job->results.size()) continue;
-            core::ViewResult& out = job->results[cp.view_index];
-            out.orientation = {cp.theta, cp.phi, cp.omega};
-            out.center_x = cp.center_x;
-            out.center_y = cp.center_y;
-            out.final_distance = cp.final_distance;
-            out.matchings = cp.matchings;
-            out.cache_hits = cp.cache_hits;
-            out.center_evals = cp.center_evals;
-            out.window_slides = cp.window_slides;
-            out.quarantined = cp.quarantined;
+          for (const auto& [view, result] : recovered.views) {
+            job->results[view] = result;
           }
         }
         jobs_[id] = job;
         continue;
       }
 
-      // Incomplete: re-admit.  Views already checkpointed are restored
+      // Incomplete: re-admit.  Views with a record are restored
       // verbatim and skipped by the batch body — per-view determinism
       // makes the combined result bitwise-identical to an
       // uninterrupted run.
@@ -278,26 +272,11 @@ std::size_t RefineService::recover() {
       job->centers = std::move(request.centers);
       job->results.resize(job->views.size());
       job->restored.assign(job->views.size(), 0);
-
-      std::vector<resilience::CheckpointRecord> seed =
-          resilience::load_checkpoint(checkpoint_path(id));
-      for (const resilience::CheckpointRecord& cp : seed) {
-        if (cp.view_index >= job->results.size()) continue;
-        core::ViewResult& out = job->results[cp.view_index];
-        out.orientation = {cp.theta, cp.phi, cp.omega};
-        out.center_x = cp.center_x;
-        out.center_y = cp.center_y;
-        out.final_distance = cp.final_distance;
-        out.matchings = cp.matchings;
-        out.cache_hits = cp.cache_hits;
-        out.center_evals = cp.center_evals;
-        out.window_slides = cp.window_slides;
-        out.quarantined = cp.quarantined;
-        job->restored[cp.view_index] = 1;
+      for (const auto& [view, result] : recovered.views) {
+        if (view >= job->results.size()) continue;
+        job->results[view] = result;
+        job->restored[view] = 1;
       }
-      job->checkpoint = std::make_unique<resilience::CheckpointWriter>(
-          checkpoint_path(id), options_.checkpoint_flush_every,
-          std::move(seed));
 
       auto model = models_.find(job->model);
       if (model == models_.end()) {
@@ -337,8 +316,9 @@ std::size_t RefineService::recover() {
     queue_depth_->set(static_cast<double>(queued_));
 
     // Compact: one snapshot segment holding the submission of every
-    // live job and the terminal record of every finished one, so the
-    // journal does not grow without bound across restarts.
+    // job, the view records of every done or re-admitted one, and the
+    // terminal record of every finished one, so the journal does not
+    // grow without bound across restarts.
     std::vector<journal::Record> snapshot;
     for (const auto& [id, job] : jobs_) {
       SubmittedJob submitted;
@@ -353,6 +333,14 @@ std::size_t RefineService::recover() {
       snapshot.push_back(
           {static_cast<std::uint32_t>(JobRecordType::kSubmitted),
            encode_submitted(submitted)});
+      for (std::size_t view = 0; view < job->results.size(); ++view) {
+        if (job->state == JobState::kDone ||
+            (!job->restored.empty() && job->restored[view] != 0)) {
+          snapshot.push_back(
+              {static_cast<std::uint32_t>(JobRecordType::kView),
+               core::encode_view_record({id, view, job->results[view]})});
+        }
+      }
       if (job->state != JobState::kQueued &&
           job->state != JobState::kRunning) {
         LifecycleEvent event;
@@ -531,13 +519,6 @@ void RefineService::dispatcher_loop() {
     if (job->deadline_ns != 0) {
       job->token->set_deadline_ns(job->submit_ns + job->deadline_ns);
     }
-    if (journal_ && !job->checkpoint) {
-      // Recovered jobs arrive with a seeded writer; fresh jobs open
-      // theirs here (the constructor only records the path — the first
-      // file write happens at the first flush, off this lock's path).
-      job->checkpoint = std::make_unique<resilience::CheckpointWriter>(
-          checkpoint_path(job->id), options_.checkpoint_flush_every);
-    }
     {
       LifecycleEvent event;
       event.job = job->id;
@@ -556,12 +537,13 @@ void RefineService::dispatcher_loop() {
 void RefineService::dispatch(const std::shared_ptr<Job>& job) {
   const std::size_t n = job->views.size();
   Job* raw = job.get();  // the batch body/callback keep `job` alive
+  journal::Journal* journal = journal_.get();
   scheduler_->submit(
       n,
-      [raw](std::size_t i) {
-        // Views restored from the recovery checkpoint are already in
+      [raw, journal](std::size_t i) {
+        // Views restored from replayed view records are already in
         // results[i]; refining them again would be wasted work (the
-        // answer is deterministic) and would double-checkpoint them.
+        // answer is deterministic) and would journal them twice.
         if (!raw->restored.empty() && raw->restored[i] != 0) return;
         const auto center = raw->centers.empty()
                                 ? std::pair<double, double>{0.0, 0.0}
@@ -573,24 +555,10 @@ void RefineService::dispatch(const std::shared_ptr<Job>& job) {
         raw->results[i] = raw->refiner->refine_view(
             raw->views[i], raw->initial[i], center.first, center.second,
             raw->token.get());
-        if (raw->checkpoint) {
-          const core::ViewResult& r = raw->results[i];
-          resilience::CheckpointRecord cp;
-          cp.view_index = i;
-          cp.theta = r.orientation.theta;
-          cp.phi = r.orientation.phi;
-          cp.omega = r.orientation.omega;
-          cp.center_x = r.center_x;
-          cp.center_y = r.center_y;
-          cp.final_distance = r.final_distance;
-          cp.matchings = r.matchings;
-          cp.cache_hits = r.cache_hits;
-          cp.center_evals = r.center_evals;
-          cp.window_slides = r.window_slides;
-          cp.quarantined = r.quarantined;
-          std::lock_guard<std::mutex> guard(raw->checkpoint_mutex);
-          raw->checkpoint->append(cp);
-          ++raw->views_done;
+        if (journal != nullptr) {
+          // Off mutex_: the journal's own lock orders the appends, and
+          // the periodic fsync must not stall admission.
+          core::append_view_record(*journal, {raw->id, i, raw->results[i]});
         }
       },
       [this, job](Batch& batch) { finalize(job, batch); });
@@ -614,18 +582,14 @@ void RefineService::finalize(const std::shared_ptr<Job>& job, Batch& batch) {
     }
   }
 
-  // Persist the final per-view state BEFORE journaling the terminal
-  // record: a kDone in the journal promises the checkpoint holds every
-  // view.  Outside mutex_ (atomic_write_file does real I/O) and under
-  // the job's own checkpoint lock.
-  std::size_t views_done = 0;
-  if (job->checkpoint) {
-    std::lock_guard<std::mutex> guard(job->checkpoint_mutex);
-    views_done = job->views_done;
+  // fsync the view records BEFORE journaling the terminal record: a
+  // kDone in the journal promises every result is on disk.  Outside
+  // mutex_ (an fsync must not stall admission).
+  if (journal_) {
     try {
-      job->checkpoint->flush();
+      journal_->sync();
     } catch (const std::exception& e) {
-      util::log_warn("serve: checkpoint flush for job ", job->id,
+      util::log_warn("serve: journal sync for job ", job->id,
                      " failed: ", e.what());
     }
   }
@@ -635,11 +599,6 @@ void RefineService::finalize(const std::shared_ptr<Job>& job, Batch& batch) {
     job->end_ns = now_ns();
     LifecycleEvent event;
     event.job = job->id;
-    event.views_done = views_done;
-    if (journal_) {
-      journal_append_locked(JobRecordType::kViewBatchDone,
-                            encode_lifecycle(event), /*durable=*/false);
-    }
     if (batch.failed()) {
       if (was_cancelled && was_timeout) {
         job->state = JobState::kTimedOut;

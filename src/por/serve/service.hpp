@@ -28,15 +28,17 @@
 // Crash-only serving (DESIGN.md §15): with ServiceOptions::journal_dir
 // set, every submission is appended to a por::journal write-ahead
 // journal and fsync'd BEFORE submit() returns — the ack the client
-// holds us to — and every lifecycle transition follows it.  Per-view
-// progress is checkpointed to <journal_dir>/job-<id>.porc (PR 5 PORC
-// format).  After a crash, construct the service on the same
-// journal_dir, register the models, then call recover(): incomplete
-// jobs are re-admitted (already-checkpointed views restored, the rest
-// refined), terminal jobs are rematerialized with their results, and
-// duplicate submissions are absorbed by idempotency key.  Per-view
-// determinism makes a recovered job's orientations bitwise-identical
-// to an uninterrupted run.
+// holds us to — and every lifecycle transition follows it.  Each
+// finished view is appended as a view record the moment it completes
+// (core::append_view_record: flushed to the kernel before its worker
+// starts another view, fsync'd in groups of 8 and before every
+// terminal record, so kDone implies every result is on disk).  After a
+// crash, construct the service on the same journal_dir, register the
+// models, then call recover(): incomplete jobs are re-admitted (views
+// with a record restored, the rest refined), terminal jobs are
+// rematerialized with their results, and duplicate submissions are
+// absorbed by idempotency key.  Per-view determinism makes a recovered
+// job's orientations bitwise-identical to an uninterrupted run.
 //
 // Determinism: per-view refinement is deterministic and the Scheduler
 // executes every view of a job exactly once, so a job's refined
@@ -64,7 +66,6 @@
 #include "por/core/cancel.hpp"
 #include "por/core/refiner.hpp"
 #include "por/journal/journal.hpp"
-#include "por/resilience/checkpoint.hpp"
 #include "por/serve/job_record.hpp"
 #include "por/serve/scheduler.hpp"
 #include "por/serve/token_bucket.hpp"
@@ -124,16 +125,11 @@ struct ServiceOptions {
   /// latency measurement; tests drive it by hand.  Null → steady clock.
   std::function<std::uint64_t()> clock_ns;
   /// Write-ahead journal directory (DESIGN.md §15).  Empty → journaling
-  /// and recovery disabled (the PR 6 in-memory behaviour).
+  /// and recovery disabled (the in-memory behaviour).
   std::string journal_dir;
-  /// Rotate journal segments at this size.
-  std::size_t journal_max_segment_bytes = 4u << 20;
   /// Default per-job deadline as a DURATION in nanoseconds, applied
   /// when a request carries none.  0 → no deadline.
   std::uint64_t default_deadline_ns = 0;
-  /// Per-view checkpoint records buffered between atomic rewrites of a
-  /// job's PORC file (1 = checkpoint after every view).
-  std::size_t checkpoint_flush_every = 8;
 };
 
 struct JobRequest {
@@ -200,10 +196,12 @@ class RefineService {
 
   /// Crash recovery (journaling only; call once, after register_model):
   /// replays the journal, rematerializes terminal jobs (results from
-  /// their checkpoints), re-admits every incomplete job — restored
+  /// their view records), re-admits every incomplete job — restored
   /// views are not refined again — and compacts the journal.  A job
   /// whose model is not registered fails with a structured error
-  /// rather than blocking recovery.  Returns the number of re-admitted
+  /// rather than blocking recovery.  A (job, view) pair recorded twice
+  /// — the footprint of a view executed twice — is counted on
+  /// recovery.duplicate_views.  Returns the number of re-admitted
   /// jobs.
   std::size_t recover();
 
@@ -260,14 +258,9 @@ class RefineService {
     /// Cooperative cancel/deadline token; created at dispatch, shared
     /// with every batch task of the job.
     std::shared_ptr<core::CancelToken> token;
-    /// restored[i] != 0: results[i] came from the recovery checkpoint
-    /// and must not be refined (or checkpointed) again.
+    /// restored[i] != 0: results[i] came from a replayed view record
+    /// and must not be refined (or journaled) again.
     std::vector<char> restored;
-    /// Per-view PORC checkpoint log (journaling only).  checkpoint_mutex
-    /// serializes worker-thread appends; never taken with mutex_ held.
-    std::unique_ptr<resilience::CheckpointWriter> checkpoint;
-    std::mutex checkpoint_mutex;
-    std::size_t views_done = 0;  ///< guarded by checkpoint_mutex
     std::uint64_t submit_ns = 0;
     std::uint64_t start_ns = 0;
     std::uint64_t end_ns = 0;
@@ -279,6 +272,7 @@ class RefineService {
     SubmittedJob request;
     JobState state = JobState::kQueued;  ///< kQueued = incomplete
     std::string error;
+    std::map<std::uint64_t, core::ViewResult> views;  ///< by view index
   };
 
   void dispatcher_loop();
@@ -289,7 +283,6 @@ class RefineService {
   [[nodiscard]] std::uint64_t now_ns() const { return clock_(); }
   void journal_append_locked(JobRecordType type, const std::string& payload,
                              bool durable);
-  [[nodiscard]] std::string checkpoint_path(std::uint64_t job) const;
   void replay_journal_locked();
 
   ServiceOptions options_;
@@ -331,6 +324,7 @@ class RefineService {
   obs::Counter* timed_out_;
   obs::Counter* deduplicated_;
   obs::Counter* replayed_jobs_;
+  obs::Counter* duplicate_views_;
   obs::Counter* rejected_queue_;
   obs::Counter* rejected_quota_;
   obs::Counter* rejected_other_;

@@ -150,7 +150,9 @@ void slz4_decompress(const void* src, std::size_t src_bytes, void* dst,
     if (static_cast<std::size_t>(out_end - out) < literals) {
       throw resilience::corrupt_error("slz4: literal run past output end");
     }
-    std::memcpy(out, in, literals);
+    // memcpy with a null `out` is UB even for zero bytes (an empty
+    // output buffer may have no storage).
+    if (literals != 0) std::memcpy(out, in, literals);
     in += literals;
     out += literals;
     if (in == in_end) break;  // final literal-only sequence

@@ -11,19 +11,22 @@
 //     SyncHook (the seam every durable write walks through) that
 //     raise(SIGKILL)s the process at the Nth syscall-adjacent event,
 //     with N drawn from a seeded PRNG — so the kill lands inside
-//     journal appends, fsyncs, segment rotations, checkpoint rewrites,
-//     renames, recovery compactions, ...;
+//     journal appends (submissions, view records, lifecycle), fsyncs,
+//     segment rotations, renames, recovery compactions, ...;
 //   * the child runs a real serving session on the shared journal dir:
 //     construct, recover(), submit the workload under fixed
 //     idempotency keys, ACK each admission to the parent over a pipe,
-//     wait, and report final orientations (bit-exact, as hex);
+//     wait, and report final orientations (bit-exact, as hex) and the
+//     recovery.duplicate_views its replay counted — a (job, view) pair
+//     journaled twice is the footprint of a double execution;
 //   * after every child — killed or clean — the parent re-opens the
 //     journal (must never be unreadable) and checks the ACK stream
 //     (an idempotency key must map to the same job id forever);
 //   * per iteration the final attempt runs with no kill scheduled, so
 //     the sequence always converges; the parent then recovers the
-//     journal in-process and compares every acknowledged job's
-//     orientations bitwise against a reference refiner.
+//     journal in-process, compares every acknowledged job's
+//     orientations bitwise against a reference refiner, and checks
+//     that replay found no view recorded twice.
 //
 // Iteration count: POR_CHAOS_ITERS (default 25 for developer runs; the
 // CI chaos job sets 200).  Everything is seeded — a failing iteration
@@ -43,14 +46,13 @@
 #include <filesystem>
 #include <map>
 #include <random>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "por/core/refiner.hpp"
 #include "por/journal/journal.hpp"
-#include "por/resilience/checkpoint.hpp"
+#include "por/obs/registry.hpp"
 #include "por/resilience/sync_hooks.hpp"
 #include "por/serve/service.hpp"
 #include "test_helpers.hpp"
@@ -101,10 +103,6 @@ ServiceOptions chaos_options(const fs::path& dir) {
   ServiceOptions options;
   options.workers = 2;
   options.journal_dir = dir.string();
-  // Persist after every view so a kill between views loses at most the
-  // view in flight — the tightest re-execution window the design
-  // offers, and therefore the strongest duplicate-execution probe.
-  options.checkpoint_flush_every = 1;
   return options;
 }
 
@@ -123,11 +121,18 @@ ServiceOptions chaos_options(const fs::path& dir) {
   FILE* ack = ::fdopen(ack_fd, "w");
   if (ack == nullptr) ::_exit(3);
   try {
+    obs::MetricsRegistry registry;
+    obs::RegistryScope scope(registry);
     const em::BlobModel model = small_phantom(kSide, 12);
     RefineService service(chaos_options(dir));
     service.register_model("phantom", model.rasterize(kSide),
                            chaos_config());
     service.recover();
+    std::fprintf(ack, "DUPLICATES %llu\n",
+                 static_cast<unsigned long long>(
+                     registry.snapshot().counters.at(
+                         "recovery.duplicate_views")));
+    std::fflush(ack);
 
     std::vector<std::uint64_t> ids;
     for (std::size_t job = 0; job < kJobs; ++job) {
@@ -168,6 +173,9 @@ struct ChildReport {
   bool clean = false;  ///< exited 0 with a DONE line
   std::map<std::string, std::uint64_t> acks;
   std::vector<std::string> result_lines;
+  /// recovery.duplicate_views after the child's recover(); -1 when the
+  /// child died before reporting it.
+  long long duplicate_views = -1;
 };
 
 ChildReport run_attempt(const fs::path& dir, const por::test::ViewSet& set,
@@ -208,6 +216,8 @@ ChildReport run_attempt(const fs::path& dir, const por::test::ViewSet& set,
       report.acks[key] = id;
     } else if (line.rfind("RESULT ", 0) == 0) {
       report.result_lines.push_back(line);
+    } else if (line.rfind("DUPLICATES ", 0) == 0) {
+      report.duplicate_views = std::stoll(line.substr(11));
     }
   }
   report.clean = WIFEXITED(status) && WEXITSTATUS(status) == 0 && saw_done;
@@ -275,6 +285,11 @@ TEST(Chaos, KilledMidSyscallServiceRecoversAcknowledgedJobsBitwise) {
       ASSERT_NO_THROW({ journal::Journal probe(dir.string()); })
           << "journal unreadable after attempt " << attempt;
 
+      // Invariant: no view ran twice — replay never finds a (job, view)
+      // pair journaled twice.
+      EXPECT_LE(report.duplicate_views, 0)
+          << "attempt " << attempt << " replayed a view executed twice";
+
       // Invariant: an acknowledged key names one job, forever.  A
       // different id in a later incarnation would mean the ack was
       // lost and the job re-admitted as a new execution.
@@ -304,10 +319,12 @@ TEST(Chaos, KilledMidSyscallServiceRecoversAcknowledgedJobsBitwise) {
 
     // And one more recovery, in-process, to cross-check the journal
     // itself (not just the child's report): every acknowledged job is
-    // terminal kDone, results bitwise identical, and the persisted
-    // checkpoint holds each view exactly once (a duplicated index
-    // would be the footprint of a double execution).
+    // terminal kDone, results bitwise identical, and the journal holds
+    // each view exactly once (a duplicated record would be the
+    // footprint of a double execution).
     {
+      obs::MetricsRegistry registry;
+      obs::RegistryScope scope(registry);
       RefineService verify(chaos_options(dir));
       verify.register_model("phantom", model.rasterize(kSide),
                             chaos_config());
@@ -319,15 +336,10 @@ TEST(Chaos, KilledMidSyscallServiceRecoversAcknowledgedJobsBitwise) {
         ASSERT_EQ(status.results.size(), 1u);
         EXPECT_EQ(encode_result_line(key, 0, status.results[0]),
                   expected[key]);
-        const auto checkpoint = resilience::load_checkpoint(
-            (dir / ("job-" + std::to_string(id) + ".porc")).string());
-        std::set<std::uint64_t> seen;
-        for (const auto& record : checkpoint) {
-          EXPECT_TRUE(seen.insert(record.view_index).second)
-              << key << " view " << record.view_index
-              << " checkpointed twice (double execution?)";
-        }
       }
+      EXPECT_EQ(registry.snapshot().counters.at("recovery.duplicate_views"),
+                0u)
+          << "a view was journaled twice (double execution)";
       verify.shutdown();
     }
     fs::remove_all(dir);  // keep the temp tree bounded across 200 iters

@@ -1,17 +1,19 @@
 // Fuzz target: the journal segment parser (por/journal) and the
-// job-record codec layered on it (por/serve/job_record).
+// record codecs layered on it (por/serve/job_record,
+// por/core/view_record).
 //
 // The input plays the role of a final WAL segment left by a dead
 // process: replay_dir must either read it (healing a torn tail) or
 // throw typed kCorrupt — and every payload that replays is pushed
-// through the SubmittedJob/LifecycleEvent decoders, which recovery
-// trusts for allocation sizes.  Opening a Journal on the directory
+// through the decoder of its record type (SubmittedJob, ViewRecord,
+// LifecycleEvent), which recovery trusts for allocation sizes.  Opening a Journal on the directory
 // afterwards exercises the self-healing rewrite on the same bytes.
 #include <exception>
 #include <filesystem>
 #include <string>
 
 #include "fuzz_common.hpp"
+#include "por/core/view_record.hpp"
 #include "por/journal/journal.hpp"
 #include "por/serve/job_record.hpp"
 
@@ -29,6 +31,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         switch (static_cast<por::serve::JobRecordType>(record.type)) {
           case por::serve::JobRecordType::kSubmitted:
             (void)por::serve::decode_submitted(record.payload);
+            break;
+          case por::serve::JobRecordType::kView:
+            (void)por::core::decode_view_record(record.payload);
             break;
           default:
             (void)por::serve::decode_lifecycle(record.payload);

@@ -14,8 +14,8 @@
 #include "por/em/grid.hpp"
 #include "por/io/map_io.hpp"
 #include "por/io/stack_io.hpp"
+#include "por/core/view_record.hpp"
 #include "por/journal/journal.hpp"
-#include "por/resilience/checkpoint.hpp"
 #include "por/serve/job_record.hpp"
 #include "por/stream/sharded_stack.hpp"
 #include "por/stream/slz4.hpp"
@@ -73,27 +73,8 @@ int main(int argc, char** argv) {
               root / "fuzz_porh" / "seed.porh");
   }
 
-  // fuzz_porc: a two-record checkpoint.
-  {
-    por::resilience::CheckpointWriter writer(
-        (scratch / "seed.porc").string(), /*flush_every=*/1);
-    for (std::uint64_t view = 0; view < 2; ++view) {
-      por::resilience::CheckpointRecord record;
-      record.view_index = view;
-      record.theta = 10.0 + static_cast<double>(view);
-      record.phi = 20.0;
-      record.omega = 30.0;
-      record.center_x = 0.5;
-      record.center_y = -0.5;
-      record.final_distance = 0.125;
-      record.matchings = 7;
-      writer.append(record);
-    }
-    writer.flush();
-    copy_into(scratch / "seed.porc", root / "fuzz_porc" / "seed.porc");
-  }
-
-  // fuzz_journal: a segment holding one submitted job + lifecycle.
+  // fuzz_journal: a segment holding one submitted job, its view record
+  // and its terminal record.
   {
     const fs::path dir = scratch / "journal";
     por::journal::Journal journal(dir.string());
@@ -107,9 +88,18 @@ int main(int argc, char** argv) {
     journal.append(
         static_cast<std::uint32_t>(por::serve::JobRecordType::kSubmitted),
         por::serve::encode_submitted(job));
+    por::core::ViewRecord view;
+    view.job = 1;
+    view.result.orientation = por::em::Orientation{10.5, 20.0, 30.0};
+    view.result.center_x = 0.5;
+    view.result.center_y = -0.5;
+    view.result.final_distance = 0.125;
+    view.result.matchings = 7;
+    journal.append(
+        static_cast<std::uint32_t>(por::serve::JobRecordType::kView),
+        por::core::encode_view_record(view), /*durable=*/false);
     por::serve::LifecycleEvent done;
     done.job = 1;
-    done.views_done = 1;
     journal.append(
         static_cast<std::uint32_t>(por::serve::JobRecordType::kDone),
         por::serve::encode_lifecycle(done), /*durable=*/false);

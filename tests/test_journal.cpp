@@ -1,8 +1,8 @@
 // por::journal tests (DESIGN.md §15): segment framing and CRC
 // round-trips, torn-tail tolerance (final segment only) with
 // self-healing on reopen, loud kCorrupt for non-crash damage,
-// rotation, crash-safe compaction via the snapshot flag, and the
-// job_record codec the RefineService layers on top.
+// rotation, crash-safe compaction via the snapshot flag, group-commit
+// syncs, and the job_record / view_record codecs layered on top.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "por/core/view_record.hpp"
 #include "por/journal/journal.hpp"
 #include "por/obs/registry.hpp"
 #include "por/resilience/error.hpp"
@@ -95,6 +96,31 @@ TEST(Journal, AppendsReplayInOrderAcrossReopen) {
   EXPECT_GE(registry.snapshot().counters.at("journal.fsyncs"), 1u);
 }
 
+TEST(Journal, SyncWaitsForMinUnsyncedAppends) {
+  obs::MetricsRegistry registry;
+  obs::RegistryScope scope(registry);
+  const fs::path dir = test_dir("group_sync");
+  journal::Journal journal(dir.string());
+  const auto fsyncs = [&] {
+    return registry.snapshot().counters.at("journal.fsyncs");
+  };
+  const std::uint64_t at_open = fsyncs();
+  for (int i = 0; i < 2; ++i) {
+    journal.append(1, std::string("pending"), /*durable=*/false);
+    journal.sync(3);  // fewer than 3 un-synced: no fsync
+  }
+  EXPECT_EQ(fsyncs(), at_open);
+  journal.append(1, std::string("third"), /*durable=*/false);
+  journal.sync(3);
+  EXPECT_EQ(fsyncs(), at_open + 1);
+  journal.sync();  // nothing un-synced: no fsync
+  EXPECT_EQ(fsyncs(), at_open + 1);
+  journal.append(1, "durable");  // durable appends fsync themselves
+  EXPECT_EQ(fsyncs(), at_open + 2);
+  journal.sync(1);
+  EXPECT_EQ(fsyncs(), at_open + 2);
+}
+
 TEST(Journal, EmptyPayloadAndEmptyDirAreFine) {
   const fs::path dir = test_dir("empty");
   {
@@ -134,6 +160,9 @@ TEST(Journal, TornFinalTailIsDroppedAndHealed) {
   }
   const auto replay = journal::Journal::replay_dir(dir.string());
   ASSERT_EQ(replay.records.size(), 3u);
+  // The heal kept the intact records' payloads, not just their frames.
+  EXPECT_EQ(replay.records[0].payload, "kept-one");
+  EXPECT_EQ(replay.records[1].payload, "kept-two");
   EXPECT_EQ(replay.records[2].payload, "after-heal");
   EXPECT_EQ(replay.torn_bytes, 0u) << "heal left damage behind";
   EXPECT_EQ(registry.snapshot().counters.at("journal.torn_tails"), 1u);
@@ -314,13 +343,46 @@ TEST(JobRecord, SubmittedRoundTripsBitwise) {
 TEST(JobRecord, LifecycleRoundTrips) {
   serve::LifecycleEvent event;
   event.job = 7;
-  event.views_done = 128;
   event.error = "deadline exceeded";
   const serve::LifecycleEvent back =
       serve::decode_lifecycle(serve::encode_lifecycle(event));
   EXPECT_EQ(back.job, 7u);
-  EXPECT_EQ(back.views_done, 128u);
   EXPECT_EQ(back.error, "deadline exceeded");
+}
+
+TEST(ViewRecord, RoundTripsBitwiseAndRejectsWrongSize) {
+  core::ViewRecord record;
+  record.job = 9;
+  record.view = 1234;
+  record.result.orientation = {12.5, -0.1, 359.75};
+  record.result.center_x = 0.3;
+  record.result.center_y = -1.7;
+  record.result.final_distance = 1e-300;
+  record.result.matchings = 1ull << 40;
+  record.result.cache_hits = 17;
+  record.result.center_evals = 25;
+  record.result.window_slides = -3;
+  record.result.quarantined = 1;
+  const std::string payload = core::encode_view_record(record);
+  const core::ViewRecord back = core::decode_view_record(payload);
+  EXPECT_EQ(back.job, 9u);
+  EXPECT_EQ(back.view, 1234u);
+  EXPECT_EQ(back.result.orientation, record.result.orientation);
+  EXPECT_EQ(back.result.center_x, record.result.center_x);
+  EXPECT_EQ(back.result.center_y, record.result.center_y);
+  EXPECT_EQ(back.result.final_distance, record.result.final_distance);
+  EXPECT_EQ(back.result.matchings, record.result.matchings);
+  EXPECT_EQ(back.result.cache_hits, 17u);
+  EXPECT_EQ(back.result.center_evals, 25u);
+  EXPECT_EQ(back.result.window_slides, -3);
+  EXPECT_EQ(back.result.quarantined, 1u);
+  EXPECT_EQ(core::encode_view_record(back), payload);
+
+  expect_corrupt([&] { (void)core::decode_view_record(""); });
+  expect_corrupt([&] {
+    (void)core::decode_view_record(payload.substr(0, payload.size() - 1));
+  });
+  expect_corrupt([&] { (void)core::decode_view_record(payload + "x"); });
 }
 
 TEST(JobRecord, DecoderRejectsMalformedPayloads) {

@@ -1,5 +1,6 @@
 // Resilience-layer tests (DESIGN.md §10): error taxonomy, retry,
-// atomic replacement, CRC-tagged checkpoints, the corrupt-input corpus
+// atomic replacement, the view-record checkpoint journal, the
+// corrupt-input corpus
 // for every por::io reader, deterministic vmpi fault injection, and
 // the acceptance properties of the recovering parallel refiner —
 // a killed rank's views are reassigned and the output is
@@ -26,12 +27,13 @@
 
 #include "por/core/parallel_refiner.hpp"
 #include "por/core/refiner.hpp"
+#include "por/core/view_record.hpp"
 #include "por/io/map_io.hpp"
 #include "por/io/orientation_io.hpp"
 #include "por/io/stack_io.hpp"
+#include "por/journal/journal.hpp"
 #include "por/obs/registry.hpp"
 #include "por/resilience/atomic_file.hpp"
-#include "por/resilience/checkpoint.hpp"
 #include "por/resilience/crc32.hpp"
 #include "por/resilience/error.hpp"
 #include "por/resilience/retry.hpp"
@@ -250,17 +252,34 @@ TEST(AtomicFile, ReplacesWholeFileOrNothing) {
   EXPECT_EQ(slurp(path), "second");
 }
 
-resilience::CheckpointRecord make_record(std::uint64_t index) {
-  resilience::CheckpointRecord rec;
-  rec.view_index = index;
-  rec.theta = 10.0 + static_cast<double>(index);
-  rec.phi = 20.0 + static_cast<double>(index);
-  rec.omega = 30.0 + static_cast<double>(index);
-  rec.center_x = 0.5;
-  rec.center_y = -0.5;
-  rec.final_distance = 0.25;
-  rec.matchings = 100 + index;
+/// A view record with distinct, exactly representable fields.
+ViewRecord make_record(std::uint64_t index) {
+  ViewRecord rec;
+  rec.view = index;
+  rec.result.orientation = {10.0 + static_cast<double>(index),
+                            20.0 + static_cast<double>(index),
+                            30.0 + static_cast<double>(index)};
+  rec.result.center_x = 0.5;
+  rec.result.center_y = -0.5;
+  rec.result.final_distance = 0.25;
+  rec.result.matchings = 100 + index;
   return rec;
+}
+
+/// Bitwise record equality: the encodings hold every field raw.
+bool same_record(const ViewRecord& a, const ViewRecord& b) {
+  return encode_view_record(a) == encode_view_record(b);
+}
+
+/// Every view record of the checkpoint journal in `dir`, in log order.
+std::vector<ViewRecord> load_records(const fs::path& dir) {
+  std::vector<ViewRecord> records;
+  for (const journal::Record& record :
+       journal::Journal::replay_dir(dir.string()).records) {
+    EXPECT_EQ(record.type, kViewRecordType);
+    records.push_back(decode_view_record(record.payload));
+  }
+  return records;
 }
 
 // ---- sync-hook fault injection (DESIGN.md §15) ----------------------------
@@ -335,14 +354,14 @@ TEST(SyncHooks, IntermittentFailureIsRetryable) {
   EXPECT_EQ(registry.snapshot().counters.at("resilience.io.retries"), 2u);
 }
 
-TEST(SyncHooks, CheckpointWriterNeverExposesPartialState) {
-  // A checkpoint flush that dies mid-sequence must leave the previous
-  // checkpoint fully intact; once the fault clears, a re-flush
-  // persists everything appended so far (nothing was dropped).
-  const fs::path path = test_dir("hooks_ckpt") / "run.porc";
-  resilience::CheckpointWriter writer(path.string(), /*flush_every=*/1);
-  writer.append(make_record(0));
-  ASSERT_EQ(resilience::load_checkpoint(path.string()).size(), 1u);
+TEST(SyncHooks, CheckpointAppendNeverExposesPartialState) {
+  // A checkpoint append that dies mid-sequence must leave the records
+  // before it fully intact; once the fault clears, appends resume and
+  // land after them (nothing earlier was dropped).
+  const fs::path dir = test_dir("hooks_ckpt");
+  journal::Journal checkpoint(dir.string());
+  append_view_record(checkpoint, make_record(0));
+  ASSERT_EQ(load_records(dir).size(), 1u);
 
   {
     resilience::ScopedSyncHook hook(
@@ -352,19 +371,19 @@ TEST(SyncHooks, CheckpointWriterNeverExposesPartialState) {
           }
         });
     expect_error_kind(resilience::ErrorKind::kTransient,
-                      [&] { writer.append(make_record(1)); });
+                      [&] { append_view_record(checkpoint, make_record(1)); });
   }
-  // The on-disk checkpoint is still the old, provably-intact one.
-  const auto during = resilience::load_checkpoint(path.string());
+  // The on-disk checkpoint still holds exactly the intact record.
+  const auto during = load_records(dir);
   ASSERT_EQ(during.size(), 1u);
-  EXPECT_EQ(during[0], make_record(0));
+  EXPECT_TRUE(same_record(during[0], make_record(0)));
 
-  // Fault cleared: the failed record was retained in the buffer, and
-  // the next flush lands both.
-  writer.flush();
-  const auto after = resilience::load_checkpoint(path.string());
+  // Fault cleared: the retried append lands after it.
+  append_view_record(checkpoint, make_record(1));
+  checkpoint.sync();
+  const auto after = load_records(dir);
   ASSERT_EQ(after.size(), 2u);
-  EXPECT_EQ(after[1], make_record(1));
+  EXPECT_TRUE(same_record(after[1], make_record(1)));
 }
 
 // ---- crc32 ----------------------------------------------------------------
@@ -378,62 +397,66 @@ TEST(Crc32, MatchesKnownVector) {
 // ---- checkpoint -----------------------------------------------------------
 
 TEST(Checkpoint, RoundTripsRecords) {
-  const fs::path path = test_dir("ckpt") / "run.porc";
+  const fs::path dir = test_dir("ckpt");
   {
-    resilience::CheckpointWriter writer(path.string(), 2);
-    writer.append(make_record(0));
-    writer.append(make_record(1));
-    writer.append(make_record(2));
-  }  // destructor flushes the odd record
-  const auto loaded = resilience::load_checkpoint(path.string());
+    journal::Journal checkpoint(dir.string());
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      append_view_record(checkpoint, make_record(i));
+    }
+  }  // destructor fsyncs the un-synced records
+  const auto loaded = load_records(dir);
   ASSERT_EQ(loaded.size(), 3u);
-  for (std::uint64_t i = 0; i < 3; ++i) EXPECT_EQ(loaded[i], make_record(i));
-}
-
-TEST(Checkpoint, MissingFileIsFreshRun) {
-  EXPECT_TRUE(
-      resilience::load_checkpoint("/nonexistent/por/run.porc").empty());
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(same_record(loaded[i], make_record(i))) << i;
+  }
 }
 
 TEST(Checkpoint, BadMagicIsCorrupt) {
-  const fs::path path = test_dir("ckpt_magic") / "bad.porc";
-  write_raw(path, "JUNKJUNKJUNK", 12);
+  const fs::path dir = test_dir("ckpt_magic");
+  write_raw(dir / "wal-00000001.porj", "JUNKJUNKJUNKJUNKJUNK", 20);
   expect_error_kind(resilience::ErrorKind::kCorrupt, [&] {
-    (void)resilience::load_checkpoint(path.string());
+    journal::Journal checkpoint(dir.string());
   });
 }
 
 TEST(Checkpoint, TornTailIsDroppedNotTrusted) {
   obs::MetricsRegistry registry;
   obs::RegistryScope scope(registry);
-  const fs::path path = test_dir("ckpt_torn") / "run.porc";
+  const fs::path dir = test_dir("ckpt_torn");
   {
-    resilience::CheckpointWriter writer(path.string(), 1);
-    for (std::uint64_t i = 0; i < 3; ++i) writer.append(make_record(i));
+    journal::Journal checkpoint(dir.string());
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      append_view_record(checkpoint, make_record(i));
+    }
   }
   // Simulate a crash mid-append: tear bytes off the last record.
-  fs::resize_file(path, fs::file_size(path) - 5);
-  const auto loaded = resilience::load_checkpoint(path.string());
+  const fs::path segment = dir / "wal-00000001.porj";
+  fs::resize_file(segment, fs::file_size(segment) - 5);
+  {
+    journal::Journal checkpoint(dir.string());  // heals the torn tail
+    EXPECT_EQ(checkpoint.replayed().records.size(), 2u);
+  }
+  const auto loaded = load_records(dir);
   ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[1], make_record(1));
-  EXPECT_EQ(registry.snapshot().counters.at("resilience.checkpoint.crc_dropped"),
-            1u);
+  EXPECT_TRUE(same_record(loaded[1], make_record(1)));
+  EXPECT_EQ(registry.snapshot().counters.at("journal.torn_tails"), 1u);
 }
 
 TEST(Checkpoint, FlippedBitFailsCrc) {
-  const fs::path path = test_dir("ckpt_flip") / "run.porc";
+  const fs::path dir = test_dir("ckpt_flip");
   {
-    resilience::CheckpointWriter writer(path.string(), 1);
-    writer.append(make_record(0));
-    writer.append(make_record(1));
+    journal::Journal checkpoint(dir.string());
+    append_view_record(checkpoint, make_record(0));
+    append_view_record(checkpoint, make_record(1));
   }
   // Flip one bit inside the second record's payload.
-  std::string bytes = slurp(path);
+  const fs::path segment = dir / "wal-00000001.porj";
+  std::string bytes = slurp(segment);
   bytes[bytes.size() - 20] ^= 0x01;
-  write_raw(path, bytes.data(), bytes.size());
-  const auto loaded = resilience::load_checkpoint(path.string());
+  write_raw(segment, bytes.data(), bytes.size());
+  const auto loaded = load_records(dir);
   ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded[0], make_record(0));
+  EXPECT_TRUE(same_record(loaded[0], make_record(0)));
 }
 
 // ---- corrupt-input corpus: every reader yields typed errors ---------------
@@ -898,32 +921,45 @@ TEST(FaultRecovery, OrientationFileBitwiseIdenticalAfterRankDeath) {
 
 // ---- checkpoint / restart -------------------------------------------------
 
+TEST(Checkpoint, MissingFileIsFreshRun) {
+  const Workload w(2);
+  RefinerConfig config = fast_config();
+  config.resilience.checkpoint_path =
+      (test_dir("ckpt_missing") / "never_written").string();
+  config.resilience.resume = true;
+  const ParallelRefineReport report =
+      run_refine(1, vmpi::FaultPlan{}, w, config);
+  EXPECT_EQ(report.restored_views, 0u);
+  EXPECT_EQ(report.results.size(), w.views.size());
+  EXPECT_EQ(load_records(config.resilience.checkpoint_path).size(),
+            w.views.size());
+}
+
 TEST(CheckpointRestart, ResumeRefinesOnlyMissingViews) {
   const fs::path dir = test_dir("restart");
   const Workload w(8);
   RefinerConfig config = fast_config();
 
   // Full run, recording a checkpoint as it goes.
-  config.resilience.checkpoint_path = (dir / "full.porc").string();
+  config.resilience.checkpoint_path = (dir / "full").string();
   const ParallelRefineReport full =
       run_refine(2, vmpi::FaultPlan{}, w, config);
-  const auto all_records =
-      resilience::load_checkpoint(config.resilience.checkpoint_path);
+  const auto all_records = load_records(config.resilience.checkpoint_path);
   ASSERT_EQ(all_records.size(), w.views.size());
 
   // Simulate an interrupted run: a checkpoint holding only the first
   // half of the records.
-  const std::string partial = (dir / "partial.porc").string();
+  const fs::path partial = dir / "partial";
   {
-    resilience::CheckpointWriter writer(partial, 1);
+    journal::Journal checkpoint(partial.string());
     for (std::size_t i = 0; i < all_records.size() / 2; ++i) {
-      writer.append(all_records[i]);
+      append_view_record(checkpoint, all_records[i]);
     }
   }
 
   // Resume: restored views must be taken from the checkpoint, the
   // rest refined, and the final results identical to the full run.
-  config.resilience.checkpoint_path = partial;
+  config.resilience.checkpoint_path = partial.string();
   config.resilience.resume = true;
   const ParallelRefineReport resumed =
       run_refine(2, vmpi::FaultPlan{}, w, config);
@@ -936,13 +972,34 @@ TEST(CheckpointRestart, ResumeRefinesOnlyMissingViews) {
   EXPECT_LT(resumed.total_matchings, full.total_matchings);
 
   // After the resumed run the checkpoint is complete again.
-  EXPECT_EQ(resilience::load_checkpoint(partial).size(), w.views.size());
+  EXPECT_EQ(load_records(partial).size(), w.views.size());
 
   // Resuming a finished run refines nothing at all.
   const ParallelRefineReport noop = run_refine(2, vmpi::FaultPlan{}, w, config);
   EXPECT_EQ(noop.restored_views, w.views.size());
   EXPECT_EQ(noop.total_matchings, 0u);
   expect_identical_results(full.results, noop.results);
+}
+
+TEST(CheckpointRestart, FreshRunOverExistingCheckpointRestoresNothing) {
+  const fs::path dir = test_dir("restart_fresh");
+  const Workload w(4);
+  RefinerConfig config = fast_config();
+  config.resilience.checkpoint_path = (dir / "ckpt").string();
+  const ParallelRefineReport first =
+      run_refine(2, vmpi::FaultPlan{}, w, config);
+  ASSERT_EQ(load_records(config.resilience.checkpoint_path).size(),
+            w.views.size());
+
+  // Without resume the run starts the journal empty: nothing restored,
+  // every view refined again, and the log holds one run's records.
+  const ParallelRefineReport second =
+      run_refine(2, vmpi::FaultPlan{}, w, config);
+  EXPECT_EQ(second.restored_views, 0u);
+  EXPECT_EQ(second.total_matchings, first.total_matchings);
+  expect_identical_results(first.results, second.results);
+  EXPECT_EQ(load_records(config.resilience.checkpoint_path).size(),
+            w.views.size());
 }
 
 // ---- per-view quarantine --------------------------------------------------

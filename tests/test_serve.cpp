@@ -12,15 +12,17 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "por/core/refiner.hpp"
+#include "por/core/view_record.hpp"
 #include "por/journal/journal.hpp"
 #include "por/obs/registry.hpp"
-#include "por/resilience/checkpoint.hpp"
+#include "por/resilience/error.hpp"
 #include "por/serve/job_channel.hpp"
 #include "por/serve/job_record.hpp"
 #include "por/serve/scheduler.hpp"
@@ -597,16 +599,38 @@ fs::path serve_test_dir(const std::string& name) {
   return dir;
 }
 
+ServiceOptions journaled_options(const fs::path& dir, std::size_t workers) {
+  ServiceOptions options;
+  options.workers = workers;
+  options.journal_dir = dir.string();
+  return options;
+}
+
+/// Appends the durable submission of job 1 — the first `count` views of
+/// `set` against `model_name` — as a crashed process would have.
+void append_submission(journal::Journal& journal, const std::string& model_name,
+                       const test::ViewSet& set, std::size_t count,
+                       const std::string& key = "") {
+  SubmittedJob submitted;
+  submitted.job = 1;
+  submitted.tenant = "t";
+  submitted.model = model_name;
+  submitted.idempotency_key = key;
+  for (std::size_t i = 0; i < count; ++i) {
+    submitted.views.push_back(set.views[i]);
+    submitted.initial.push_back(set.orientations[i]);
+  }
+  journal.append(static_cast<std::uint32_t>(JobRecordType::kSubmitted),
+                 encode_submitted(submitted));
+}
+
 TEST(RefineServiceJournal, TerminalJobsSurviveRestartBitwise) {
   const std::size_t l = 20;
   const em::BlobModel model = small_phantom(l, 12);
   const auto set = make_views(model, l, 3, /*seed=*/61);
   const fs::path dir = serve_test_dir("restart_done");
 
-  ServiceOptions options;
-  options.workers = 2;
-  options.journal_dir = dir.string();
-  options.checkpoint_flush_every = 1;
+  const ServiceOptions options = journaled_options(dir, 2);
 
   std::vector<core::ViewResult> first_results;
   std::uint64_t id = 0;
@@ -661,53 +685,32 @@ TEST(RefineServiceJournal, IncompleteJobIsReadmittedAndRestoredViewsSkipped) {
       reference.refine_view(set.views[1], set.orientations[1]);
 
   // Forge the journal a crashed process would leave behind: a durable
-  // submission record with no terminal, plus a checkpoint holding view
-  // 0.  The checkpoint's record is deliberately POISONED (theta + 1)
-  // so the test can prove recovery restored it verbatim instead of
-  // quietly re-refining it.
+  // submission record with no terminal, plus a view record for view
+  // 0.  The view record is deliberately POISONED (theta + 1) so the
+  // test can prove recovery restored it verbatim instead of quietly
+  // re-refining it.
   const std::uint64_t id = 1;
   {
     journal::Journal journal(dir.string());
-    SubmittedJob submitted;
-    submitted.job = id;
-    submitted.tenant = "t";
-    submitted.model = "phantom";
-    submitted.idempotency_key = "crashed-key";
-    submitted.views = {set.views[0], set.views[1]};
-    submitted.initial = {set.orientations[0], set.orientations[1]};
-    journal.append(static_cast<std::uint32_t>(JobRecordType::kSubmitted),
-                   encode_submitted(submitted));
+    append_submission(journal, "phantom", set, 2, "crashed-key");
     LifecycleEvent running;
     running.job = id;
     journal.append(static_cast<std::uint32_t>(JobRecordType::kRunning),
                    encode_lifecycle(running), /*durable=*/false);
-  }
-  {
-    resilience::CheckpointWriter checkpoint(
-        (dir / ("job-" + std::to_string(id) + ".porc")).string(), 1);
-    resilience::CheckpointRecord record;
-    record.view_index = 0;
-    record.theta = ref0.orientation.theta + 1.0;  // the poison marker
-    record.phi = ref0.orientation.phi;
-    record.omega = ref0.orientation.omega;
-    record.center_x = ref0.center_x;
-    record.center_y = ref0.center_y;
-    record.final_distance = ref0.final_distance;
-    record.matchings = ref0.matchings;
-    checkpoint.append(record);
+    core::ViewRecord view{id, 0, ref0};
+    view.result.orientation.theta += 1.0;  // the poison marker
+    journal.append(static_cast<std::uint32_t>(JobRecordType::kView),
+                   core::encode_view_record(view));
   }
 
-  ServiceOptions options;
-  options.workers = 2;
-  options.journal_dir = dir.string();
-  RefineService service(options);
+  RefineService service(journaled_options(dir, 2));
   service.register_model("phantom", model.rasterize(l), serve_test_config());
   EXPECT_EQ(service.recover(), 1u);
 
   const JobStatus status = service.wait(id);
   ASSERT_EQ(status.state, JobState::kDone) << status.error;
   ASSERT_EQ(status.results.size(), 2u);
-  // View 0 came from the checkpoint, poison intact (not re-refined)...
+  // View 0 came from its view record, poison intact (not re-refined)...
   EXPECT_EQ(status.results[0].orientation.theta,
             ref0.orientation.theta + 1.0);
   // ...and view 1 was actually refined, bitwise-identical to an
@@ -730,25 +733,103 @@ TEST(RefineServiceJournal, UnknownModelAtRecoveryFailsStructured) {
   const fs::path dir = serve_test_dir("unknown_model");
   {
     journal::Journal journal(dir.string());
-    SubmittedJob submitted;
-    submitted.job = 1;
-    submitted.tenant = "t";
-    submitted.model = "never-registered";
-    submitted.views = {set.views[0]};
-    submitted.initial = {set.orientations[0]};
-    journal.append(static_cast<std::uint32_t>(JobRecordType::kSubmitted),
-                   encode_submitted(submitted));
+    append_submission(journal, "never-registered", set, 1);
   }
-  ServiceOptions options;
-  options.workers = 1;
-  options.journal_dir = dir.string();
-  RefineService service(options);
+  RefineService service(journaled_options(dir, 1));
   service.register_model("phantom", model.rasterize(l), serve_test_config());
   EXPECT_EQ(service.recover(), 0u);
   const JobStatus status = service.status(1);
   EXPECT_EQ(status.state, JobState::kFailed);
   EXPECT_NE(status.error.find("never-registered"), std::string::npos);
   service.shutdown();
+}
+
+TEST(RefineServiceJournal, UnknownRecordTypeIsLoudCorruption) {
+  const std::size_t l = 20;
+  const em::BlobModel model = small_phantom(l, 12);
+  const auto set = make_views(model, l, 1, /*seed=*/71);
+  const fs::path dir = serve_test_dir("unknown_type");
+  {
+    journal::Journal journal(dir.string());
+    append_submission(journal, "phantom", set, 1);
+    // An intact record of a type no version of the service writes.
+    LifecycleEvent event;
+    event.job = 1;
+    journal.append(99, encode_lifecycle(event));
+  }
+  try {
+    RefineService service(journaled_options(dir, 1));
+    FAIL() << "replay accepted an unknown record type";
+  } catch (const resilience::Error& error) {
+    EXPECT_EQ(error.kind(), resilience::ErrorKind::kCorrupt) << error.what();
+  }
+}
+
+/// Runs `jobs` journaled 3-view jobs to completion on `dir` and
+/// returns their ids.
+std::vector<std::uint64_t> run_journaled_jobs(const fs::path& dir,
+                                              std::size_t jobs) {
+  const std::size_t l = 20;
+  const em::BlobModel model = small_phantom(l, 12);
+  const auto set = make_views(model, l, 3, /*seed=*/89);
+  RefineService service(journaled_options(dir, 2));
+  service.register_model("phantom", model.rasterize(l), serve_test_config());
+  service.recover();
+  std::vector<std::uint64_t> ids;
+  for (std::size_t job = 0; job < jobs; ++job) {
+    const SubmitResult submitted =
+        service.submit(make_job("t", "phantom", set, 0, 3));
+    EXPECT_TRUE(submitted.accepted());
+    ids.push_back(submitted.job);
+  }
+  for (const std::uint64_t id : ids) {
+    EXPECT_EQ(service.wait(id).state, JobState::kDone);
+  }
+  service.shutdown();
+  return ids;
+}
+
+TEST(RefineServiceJournal, JournalDirHoldsOnlySegments) {
+  const fs::path dir = serve_test_dir("only_segments");
+  (void)run_journaled_jobs(dir, 3);
+  std::size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_EQ(name.rfind("wal-", 0), 0u) << name;
+    EXPECT_EQ(entry.path().extension(), ".porj") << name;
+    ++files;
+  }
+  EXPECT_GE(files, 1u);
+}
+
+TEST(RefineServiceJournal, ReplayShowsEachViewOfEachDoneJobOnce) {
+  const fs::path dir = serve_test_dir("views_once");
+  const std::vector<std::uint64_t> ids = run_journaled_jobs(dir, 3);
+  const auto expect_each_view_once = [&](const char* when) {
+    std::map<std::pair<std::uint64_t, std::uint64_t>, int> seen;
+    for (const journal::Record& record :
+         journal::Journal::replay_dir(dir.string()).records) {
+      if (record.type != static_cast<std::uint32_t>(JobRecordType::kView)) {
+        continue;
+      }
+      const core::ViewRecord view = core::decode_view_record(record.payload);
+      ++seen[{view.job, view.view}];
+    }
+    EXPECT_EQ(seen.size(), ids.size() * 3) << when;
+    for (const std::uint64_t id : ids) {
+      for (std::uint64_t view = 0; view < 3; ++view) {
+        EXPECT_EQ((seen[{id, view}]), 1)
+            << when << ": job " << id << " view " << view;
+      }
+    }
+  };
+  expect_each_view_once("as served");
+
+  // The recovery compaction carries the view records over, once each.
+  RefineService restarted(journaled_options(dir, 1));
+  EXPECT_EQ(restarted.recover(), 0u);
+  restarted.shutdown();
+  expect_each_view_once("after compaction");
 }
 
 TEST(RefineService, DeadlineSurfacesTimedOut) {

@@ -20,11 +20,12 @@
 #include "por/core/brick_store.hpp"
 #include "por/core/parallel_refiner.hpp"
 #include "por/core/refiner.hpp"
+#include "por/core/view_record.hpp"
 #include "por/em/interp.hpp"
 #include "por/io/map_io.hpp"
 #include "por/io/orientation_io.hpp"
 #include "por/io/stack_io.hpp"
-#include "por/resilience/checkpoint.hpp"
+#include "por/journal/journal.hpp"
 #include "por/resilience/error.hpp"
 #include "por/stream/shard_mapping.hpp"
 #include "por/stream/sharded_stack.hpp"
@@ -731,8 +732,8 @@ TEST_P(StreamedDrivers, ShardedMonolithicAndInMemoryAgreeBitwise) {
   const std::string out_shard = (dir / "out_shard.txt").string();
   std::vector<ViewResult> sharded;
   vmpi::run(p, [&](vmpi::Comm& comm) {
-    auto report = parallel_refine_sharded(comm, map_path, base, orient_in,
-                                          out_shard, config);
+    auto report = parallel_refine_files(comm, map_path, base, orient_in,
+                                        out_shard, config);
     if (comm.is_root()) sharded = report.results;
   });
 
@@ -744,28 +745,6 @@ TEST_P(StreamedDrivers, ShardedMonolithicAndInMemoryAgreeBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, StreamedDrivers, ::testing::Values(1, 4));
-
-TEST(StreamedDrivers, RefineSharedRejectsMonolithicStack) {
-  const fs::path dir = test_dir("sharded_guard");
-  const Workload w(2);
-  const std::string stack_path = (dir / "v.pors").string();
-  io::write_stack(stack_path, w.views);
-  io::write_map((dir / "map.porm").string(), w.map);
-  std::vector<io::ViewOrientation> records;
-  for (std::size_t i = 0; i < w.views.size(); ++i) {
-    records.push_back(io::ViewOrientation{i, w.initials[i], 0.0, 0.0});
-  }
-  io::write_orientations((dir / "in.txt").string(), records, "x");
-  EXPECT_THROW(
-      vmpi::run(1,
-                [&](vmpi::Comm& comm) {
-                  (void)parallel_refine_sharded(
-                      comm, (dir / "map.porm").string(), stack_path,
-                      (dir / "in.txt").string(), (dir / "out.txt").string(),
-                      fast_config());
-                }),
-      resilience::Error);
-}
 
 TEST(StreamedDrivers, ResumeFromCheckpointOverShardsIsIdentical) {
   const fs::path dir = test_dir("shard_resume");
@@ -787,25 +766,26 @@ TEST(StreamedDrivers, ResumeFromCheckpointOverShardsIsIdentical) {
   io::write_orientations(orient_in, records, "initial");
 
   // Full run over shards, checkpointing as it goes.
-  config.resilience.checkpoint_path = (dir / "full.porc").string();
+  config.resilience.checkpoint_path = (dir / "full").string();
   const std::string out_full = (dir / "out_full.txt").string();
   std::vector<ViewResult> full;
   vmpi::run(2, [&](vmpi::Comm& comm) {
-    auto report = parallel_refine_sharded(comm, map_path, base, orient_in,
-                                          out_full, config);
+    auto report = parallel_refine_files(comm, map_path, base, orient_in,
+                                        out_full, config);
     if (comm.is_root()) full = report.results;
   });
   const auto all_records =
-      resilience::load_checkpoint(config.resilience.checkpoint_path);
+      journal::Journal::replay_dir(config.resilience.checkpoint_path).records;
   ASSERT_EQ(all_records.size(), w.views.size());
 
   // Interrupt simulation: keep only the first half, resume over the
   // same shards.
-  const std::string partial = (dir / "partial.porc").string();
+  const std::string partial = (dir / "partial").string();
   {
-    resilience::CheckpointWriter writer(partial, 1);
+    journal::Journal checkpoint(partial);
     for (std::size_t i = 0; i < all_records.size() / 2; ++i) {
-      writer.append(all_records[i]);
+      checkpoint.append(kViewRecordType, all_records[i].payload,
+                        /*durable=*/false);
     }
   }
   config.resilience.checkpoint_path = partial;
@@ -814,8 +794,8 @@ TEST(StreamedDrivers, ResumeFromCheckpointOverShardsIsIdentical) {
   std::vector<ViewResult> resumed;
   std::uint64_t restored = 0;
   vmpi::run(2, [&](vmpi::Comm& comm) {
-    auto report = parallel_refine_sharded(comm, map_path, base, orient_in,
-                                          out_resumed, config);
+    auto report = parallel_refine_files(comm, map_path, base, orient_in,
+                                        out_resumed, config);
     if (comm.is_root()) {
       resumed = report.results;
       restored = report.restored_views;
