@@ -41,10 +41,6 @@ namespace por::simd {
 struct KernelTable;
 }  // namespace por::simd
 
-namespace por::util {
-class ThreadPool;
-}  // namespace por::util
-
 namespace por::core {
 
 /// Matching configuration shared by refiner, baselines and benches.
@@ -64,19 +60,6 @@ struct MatchOptions {
   std::optional<em::CtfParams> ctf;
   em::CtfCorrection ctf_correction = em::CtfCorrection::kPhaseFlip;
   double wiener_snr = 10.0;
-
-  /// Fan the w^3 candidate loop of sliding_window_search across this
-  /// many pool workers (1 = serial, the default).  Intra-view
-  /// parallelism for the single-rank case; the vmpi drivers already
-  /// parallelize across views, so they leave this at 1.
-  std::size_t search_threads = 1;
-
-  /// Worker count for the Fourier transforms behind spectrum
-  /// preparation (the padded 3D map transform at construction and the
-  /// padded 2D view transform in prepare_view): fft::FftOptions::
-  /// threads, so 1 = serial (default, bit-identical to any other
-  /// setting) and 0 = hardware concurrency.
-  std::size_t fft_threads = 1;
 
   /// Per-matcher ISA cap for the dispatched hot kernels (por/simd).
   /// Default: follow the process-wide selection (detect_best_isa()
@@ -113,8 +96,8 @@ struct AnnulusTable {
 namespace detail {
 /// std::atomic is not movable; FourierMatcher is (the refiner adopts
 /// matchers by value).  Wrap the matchings counter so the class keeps
-/// its defaulted moves while distance() stays safe to call from the
-/// intra-view search pool.
+/// its defaulted moves while distance() stays safe to call from many
+/// scheduler workers at once.
 struct MovableAtomicU64 {
   std::atomic<std::uint64_t> v{0};
   MovableAtomicU64() = default;
@@ -211,10 +194,6 @@ class FourierMatcher {
   /// its translated-distance loop).
   [[nodiscard]] const AnnulusTable& annulus() const { return annulus_; }
 
-  /// Worker pool for fanning the w^3 candidate loop across threads, or
-  /// nullptr when options().search_threads <= 1.
-  [[nodiscard]] util::ThreadPool* search_pool() const { return pool_.get(); }
-
   /// The ISA tier this matcher's kernels were snapshotted at (resolved
   /// from options().simd and the process-wide selection, clamped to
   /// hardware/build support at construction).
@@ -245,7 +224,6 @@ class FourierMatcher {
   AnnulusTable annulus_;             ///< flattened [r_min, r_map] ring
   em::Image<double> transfer_image_; ///< per-pixel cut transfer (CTF only)
   bool fast_path_ = false;           ///< radius-vs-lattice guard verdict
-  std::unique_ptr<util::ThreadPool> pool_;  ///< intra-view search pool
 
   mutable detail::MovableAtomicU64 matchings_;
 

@@ -165,8 +165,7 @@ ParallelRefineReport refine_distributed(
     raw = em::to_complex(em::pad_volume(map_on_root, config.match.pad))
               .storage();
   }
-  raw = fft::parallel_fft3d_forward(comm, std::move(raw), padded_edge,
-                                    fft::FftOptions{config.match.fft_threads});
+  raw = fft::parallel_fft3d_forward(comm, std::move(raw), padded_edge);
   em::Volume<em::cdouble> raw_volume(padded_edge);
   raw_volume.storage() = std::move(raw);
   em::Volume<em::cdouble> spectrum =
@@ -400,10 +399,7 @@ ParallelRefineReport refine_distributed(
       // checkpoint writer are single-writer), so the protocol state is
       // untouched by the parallelism.
       serve::SchedulerOptions sched_options;
-      sched_options.workers =
-          config.refine_workers < 0
-              ? 1
-              : static_cast<std::size_t>(config.refine_workers);
+      sched_options.workers = config.scheduler_workers();
       serve::Scheduler scheduler(sched_options);
       const std::size_t stride = std::max<std::size_t>(scheduler.workers(), 1);
       std::vector<double> flat;
@@ -521,10 +517,7 @@ ParallelRefineReport refine_distributed(
     std::unique_ptr<serve::Scheduler> scheduler;
     if (config.refine_workers != 1) {
       serve::SchedulerOptions sched_options;
-      sched_options.workers =
-          config.refine_workers < 0
-              ? 1
-              : static_cast<std::size_t>(config.refine_workers);
+      sched_options.workers = config.scheduler_workers();
       scheduler = std::make_unique<serve::Scheduler>(sched_options);
     }
     while (true) {

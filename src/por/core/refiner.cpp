@@ -27,12 +27,21 @@ void OrientationRefiner::bind_observability() {
   obs_quarantined_ = &registry.counter("resilience.views.quarantined");
 }
 
+std::size_t RefinerConfig::scheduler_workers() const {
+  if (refine_workers < 0) {
+    throw std::invalid_argument(
+        "RefinerConfig: refine_workers must be >= 0 (0 = hardware)");
+  }
+  return static_cast<std::size_t>(refine_workers);
+}
+
 OrientationRefiner::OrientationRefiner(const em::Volume<double>& density_map,
                                        const RefinerConfig& config)
     : matcher_(density_map, config.matcher_options()), config_(config) {
   if (config_.schedule.empty()) {
     throw std::invalid_argument("OrientationRefiner: empty schedule");
   }
+  (void)config_.scheduler_workers();  // rejects refine_workers < 0
   bind_observability();
 }
 
@@ -42,6 +51,7 @@ OrientationRefiner::OrientationRefiner(FourierMatcher matcher,
   if (config_.schedule.empty()) {
     throw std::invalid_argument("OrientationRefiner: empty schedule");
   }
+  (void)config_.scheduler_workers();  // rejects refine_workers < 0
   bind_observability();
 }
 
@@ -219,9 +229,7 @@ std::vector<ViewResult> OrientationRefiner::refine(
     // only results[i], and refine_view is deterministic — so this is
     // bitwise-identical to the serial loop below at any worker count.
     serve::SchedulerOptions options;
-    options.workers = config_.refine_workers < 0
-                          ? 1
-                          : static_cast<std::size_t>(config_.refine_workers);
+    options.workers = config_.scheduler_workers();
     serve::Scheduler scheduler(options);
     scheduler.run(views.size(), refine_one);
   } else {

@@ -94,12 +94,18 @@ struct RefinerConfig {
   StreamOptions stream;               ///< out-of-core stack streaming
   /// Shared-memory workers for refine() batches: 1 = serial loop (the
   /// historical behavior), N > 1 = the por::serve work-stealing
-  /// scheduler, 0 = hardware_concurrency.  Per-view refinement is
-  /// deterministic and views are independent, so the batch result is
-  /// bitwise-identical at any worker count.
+  /// scheduler, 0 = hardware_concurrency; negative values are rejected
+  /// (std::invalid_argument) when a refiner is constructed.  Per-view
+  /// refinement is deterministic and views are independent, so the
+  /// batch result is bitwise-identical at any worker count.
   int refine_workers = 1;
 
   RefinerConfig() : schedule(paper_schedule()) {}
+
+  /// refine_workers as a serve::SchedulerOptions::workers value (0 =
+  /// hardware_concurrency).  Throws std::invalid_argument when
+  /// refine_workers is negative.
+  [[nodiscard]] std::size_t scheduler_workers() const;
 
   /// The match options with the CTF settings folded in (the matcher
   /// needs them to keep view and cut amplitudes comparable).

@@ -19,6 +19,9 @@ namespace {
 constexpr std::uint64_t kIndexMask = (std::uint64_t{1} << 24) - 1;
 constexpr std::uint32_t kMaxSlots = 1u << 16;
 
+// Injector channel capacity (a power of two).
+constexpr std::size_t kInjectorCapacity = 8192;
+
 constexpr std::uint64_t pack(std::uint32_t slot, std::uint32_t lo,
                              std::uint32_t hi) {
   return (std::uint64_t{slot} << 48) | (std::uint64_t{lo} << 24) |
@@ -79,7 +82,7 @@ void Batch::fail(std::exception_ptr error) {
 
 Scheduler::Scheduler(const SchedulerOptions& options)
     : options_(options),
-      injector_(options.channel_capacity),
+      injector_(kInjectorCapacity),
       alive_(0) {
   std::size_t n = options.workers;
   if (n == 0) n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -99,19 +102,59 @@ Scheduler::Scheduler(const SchedulerOptions& options)
   alive_gauge_ = &registry.gauge("serve.sched.alive_workers");
   alive_gauge_->set(static_cast<double>(n));
 
-  pool_ = std::make_unique<util::ThreadPool>(n);
-  pool_->set_task_source(this);
+  threads_.reserve(n);
+  try {
+    for (std::size_t i = 0; i < n; ++i) {
+      threads_.emplace_back([this, i] { worker_loop(i); });
+    }
+  } catch (...) {
+    stop_workers();  // a thread that failed to start leaves none unjoined
+    throw;
+  }
 }
 
 Scheduler::~Scheduler() {
   {
     // Abandoned batches still complete (the slot table holds them);
-    // wait for the last one so no task outlives the pool.
+    // wait for the last one so no task outlives the workers.
     std::unique_lock<std::mutex> lock(slots_mutex_);
     drained_cv_.wait(lock, [this] { return active_ == 0; });
   }
-  pool_->set_task_source(nullptr);
-  pool_.reset();  // joins the workers
+  stop_workers();
+}
+
+void Scheduler::stop_workers() {
+  {
+    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    stopping_ = true;
+  }
+  wake_.notify_all();
+  for (std::thread& thread : threads_) thread.join();
+}
+
+void Scheduler::worker_loop(std::size_t worker) {
+  // Epoch handshake with wake_workers(): record the epoch *before*
+  // polling dry, so work published concurrently is either seen by the
+  // poll or has moved the epoch and defeats the sleep predicate.
+  std::uint64_t seen_epoch = 0;
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(sleep_mutex_);
+      wake_.wait(lock, [&] { return stopping_ || epoch_ != seen_epoch; });
+      if (stopping_) return;
+      seen_epoch = epoch_;
+    }
+    while (run_one(worker)) {
+    }
+  }
+}
+
+void Scheduler::wake_workers() {
+  {
+    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    ++epoch_;
+  }
+  wake_.notify_all();
 }
 
 std::shared_ptr<Batch> Scheduler::submit(
@@ -151,7 +194,7 @@ std::shared_ptr<Batch> Scheduler::submit(
   batch->slot_ = slot;
 
   inject(pack(slot, 0, static_cast<std::uint32_t>(n)));
-  pool_->notify_source();
+  wake_workers();
   return batch;
 }
 
@@ -224,7 +267,7 @@ void Scheduler::execute_chunk(std::size_t worker, std::uint64_t packed) {
     }
     break;
   }
-  if (published) pool_->notify_source();
+  if (published) wake_workers();
 
   for (std::uint32_t i = lo; i < hi; ++i) {
     // Fault hook (PR 5 plan at thread scope): this worker's task-
@@ -305,7 +348,7 @@ void Scheduler::kill_worker(std::size_t worker,
       std::this_thread::yield();
     }
   }
-  pool_->notify_source();
+  wake_workers();
 }
 
 void Scheduler::fail_all_active(const std::string& why) {
@@ -353,7 +396,7 @@ void Scheduler::inject(std::uint64_t chunk) {
   // by the batch backlog; exit early if every worker died.
   while (!injector_.try_push(chunk)) {
     if (alive_.load(std::memory_order_acquire) == 0) return;
-    pool_->notify_source();
+    wake_workers();
     std::this_thread::yield();
   }
 }

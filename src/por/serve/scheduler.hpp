@@ -15,10 +15,12 @@
 //                                               ▼  publish the rest
 //                                      own StealDeque ◄── thieves steal
 //
-// Threads come from util::ThreadPool via its injectable TaskSource —
-// the scheduler owns no threads, it owns the work-distribution policy.
-// Idle workers block in the pool (no spinning); every publication of
-// new work bumps the pool's source epoch so sleepers wake.
+// The scheduler owns its worker threads.  Idle workers block on a
+// condition variable (no spinning); every publication of new work
+// bumps a wake epoch under the sleep mutex, and a worker records the
+// epoch *before* polling for work, so a publication that races its
+// last empty poll changes the epoch and defeats the sleep predicate —
+// no wakeup is ever lost.
 //
 // Determinism invariant: a batch is `body(i)` for i in [0, n).  Each
 // index is executed exactly once, on exactly one worker, no matter the
@@ -47,11 +49,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "por/serve/job_channel.hpp"
 #include "por/serve/steal_deque.hpp"
-#include "por/util/thread_pool.hpp"
 #include "por/vmpi/fault.hpp"
 
 namespace por::obs {
@@ -67,8 +70,6 @@ struct SchedulerOptions {
   /// Per-worker deque capacity (rounded up to a power of two); a full
   /// deque overflows into the injector channel.
   std::size_t deque_capacity = 256;
-  /// Injector channel capacity (rounded up to a power of two).
-  std::size_t channel_capacity = 8192;
   /// Deterministic worker-death injection: KillRule::rank names a
   /// worker ordinal, KillRule::at_step its 0-based task-attempt
   /// ordinal.  The drop/delay/corrupt message rules do not apply here.
@@ -114,14 +115,14 @@ class Batch {
   std::exception_ptr error_;
 };
 
-class Scheduler final : public util::TaskSource {
+class Scheduler {
  public:
   explicit Scheduler(const SchedulerOptions& options = {});
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
   /// Waits for every active batch to finish (or fail), then joins the
-  /// pool.  Do not destroy a scheduler from inside one of its tasks.
-  ~Scheduler() override;
+  /// workers.  Do not destroy a scheduler from inside one of its tasks.
+  ~Scheduler();
 
   /// Asynchronous batch: body(i) for i in [0, n), any worker, exactly
   /// once each.  `on_complete` (optional) runs on the worker that
@@ -134,9 +135,6 @@ class Scheduler final : public util::TaskSource {
   /// submit + wait: the work-stealing drop-in for a serial for-loop.
   /// Rethrows the first task exception.
   void run(std::size_t n, const std::function<void(std::size_t)>& body);
-
-  /// util::TaskSource hook — called by pool workers, not by users.
-  bool run_one(std::size_t worker) override;
 
   [[nodiscard]] std::size_t workers() const { return workers_.size(); }
   [[nodiscard]] std::size_t alive_workers() const {
@@ -155,6 +153,10 @@ class Scheduler final : public util::TaskSource {
     std::uint64_t attempts = 0;  ///< owner-thread only (fault-plan step)
   };
 
+  void worker_loop(std::size_t worker);
+  void wake_workers();
+  void stop_workers();
+  bool run_one(std::size_t worker);
   bool next_chunk(std::size_t worker, std::uint64_t& out);
   void execute_chunk(std::size_t worker, std::uint64_t packed);
   void run_task(Batch& batch, std::uint32_t index);
@@ -185,8 +187,13 @@ class Scheduler final : public util::TaskSource {
   obs::Counter* requeued_counter_;
   obs::Gauge* alive_gauge_;
 
+  std::mutex sleep_mutex_;
+  std::condition_variable wake_;  ///< waits on epoch_ / stopping_
+  std::uint64_t epoch_ = 1;       ///< bumped by wake_workers()
+  bool stopping_ = false;
+
   // Last member: worker threads must observe a fully-built scheduler.
-  std::unique_ptr<util::ThreadPool> pool_;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace por::serve

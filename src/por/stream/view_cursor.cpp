@@ -16,6 +16,12 @@ namespace {
       .count();
 }
 
+[[nodiscard]] serve::SchedulerOptions one_fill_worker() {
+  serve::SchedulerOptions options;
+  options.workers = 1;
+  return options;
+}
+
 }  // namespace
 
 ViewCursor::ViewCursor(ViewSource& source, std::uint64_t first,
@@ -25,19 +31,12 @@ ViewCursor::ViewCursor(ViewSource& source, std::uint64_t first,
       count_(count),
       view_px_(source.view_pixels()),
       options_(options),
+      scheduler_(one_fill_worker()),
       next_index_(first) {
   POR_EXPECT(first_ + count_ <= source_.count(),
              "ViewCursor range beyond source");
   if (options_.depth == 0) options_.depth = 1;
   if (options_.batch_views == 0) options_.batch_views = 1;
-  if (options_.scheduler != nullptr) {
-    scheduler_ = options_.scheduler;
-  } else {
-    serve::SchedulerOptions sched;
-    sched.workers = 1;
-    owned_scheduler_ = std::make_unique<serve::Scheduler>(sched);
-    scheduler_ = owned_scheduler_.get();
-  }
   const std::size_t chunk_doubles = options_.batch_views * view_px_;
   slots_.resize(std::min<std::uint64_t>(options_.depth, chunk_count()));
   for (auto& slot : slots_) {
@@ -53,8 +52,8 @@ ViewCursor::ViewCursor(ViewSource& source, std::uint64_t first,
 
 ViewCursor::~ViewCursor() {
   // In-flight fills write into the slot arenas; they must land before
-  // the arenas die (the owned scheduler, declared earlier, is
-  // destroyed after them).
+  // the arenas die (the scheduler, declared earlier, is destroyed
+  // after them).
   for (auto& slot : slots_) {
     if (slot.batch) {
       try {
@@ -78,7 +77,7 @@ void ViewCursor::submit_fill(std::size_t slot_id, std::uint64_t chunk) {
                               first_ + count_ - chunk_first));
   slot.chunk = chunk;
   slot.views = views;
-  slot.batch = scheduler_->submit(1, [this, &slot, chunk_first,
+  slot.batch = scheduler_.submit(1, [this, &slot, chunk_first,
                                       views](std::size_t) {
     // One fill at a time: sources are internally locked but keeping
     // fills serial preserves sequential I/O order on spinning storage

@@ -7,11 +7,11 @@
 // `batch_views` views and keeps a ring of `depth` slots.  Each slot
 // owns a private util::Arena whose one array holds a whole chunk of
 // pixels (rule 2 of the arena discipline: a buffer outliving
-// interleaved frames owns its own arena), filled by a serve::Scheduler
-// batch on a background worker while the consumer chews the previous
-// chunk.  The fill calls ViewSource::will_need first, so on a
-// mmap-backed source the kernel is paging the next window in while the
-// current one is being matched.
+// interleaved frames owns its own arena), filled by a batch on the
+// cursor's own single-worker serve::Scheduler while the consumer chews
+// the previous chunk.  The fill calls ViewSource::will_need first, so
+// on a mmap-backed source the kernel is paging the next window in
+// while the current one is being matched.
 //
 // Consumption is strictly ordered and zero-copy into the compute: the
 // pointer next() returns aims into the slot's arena block and stays
@@ -20,10 +20,10 @@
 // refill submit costs one scheduler control block, amortized over
 // batch_views views).
 //
-// Determinism: views arrive in index order whatever `depth` or the
-// worker count — the background batches only *fill* slots; the
-// consumer drains them in chunk order.  bench_stream gates bitwise
-// identity against the in-core path at several depths.
+// Determinism: views arrive in index order whatever `depth` — the
+// background batches only *fill* slots; the consumer drains them in
+// chunk order.  bench_stream gates bitwise identity against the
+// in-core path at several depths.
 //
 // Obs: "stream.prefetch.hits" (chunk ready on arrival) vs
 // "stream.prefetch.stalls" (consumer blocked), stall latency in the
@@ -49,9 +49,6 @@ struct PrefetchOptions {
   std::size_t depth = 2;
   /// Views per chunk.
   std::size_t batch_views = 32;
-  /// Scheduler to borrow for fill batches; nullptr → the cursor owns a
-  /// single-worker scheduler for its lifetime.
-  serve::Scheduler* scheduler = nullptr;
 };
 
 class ViewCursor {
@@ -105,8 +102,7 @@ class ViewCursor {
   std::uint64_t count_ = 0;
   std::size_t view_px_ = 0;
   PrefetchOptions options_;
-  std::unique_ptr<serve::Scheduler> owned_scheduler_;
-  serve::Scheduler* scheduler_ = nullptr;
+  serve::Scheduler scheduler_;  ///< one fill worker, owned
   std::mutex source_mutex_;  ///< fills serialize their source access
 
   std::vector<Slot> slots_;

@@ -182,6 +182,23 @@ TEST(Refiner, EmptyScheduleRejected) {
                std::invalid_argument);
 }
 
+TEST(Refiner, NegativeRefineWorkersRejectedByBothConstructors) {
+  const BlobModel model = small_phantom(8, 4);
+  RefinerConfig config = fast_config();
+  config.refine_workers = -1;
+  EXPECT_THROW((void)OrientationRefiner(model.rasterize(8), config),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)OrientationRefiner(
+          FourierMatcher(model.rasterize(8), config.matcher_options()), config),
+      std::invalid_argument);
+  // 0 (hardware) and N are accepted and map straight through.
+  config.refine_workers = 0;
+  EXPECT_EQ(config.scheduler_workers(), 0u);
+  config.refine_workers = 3;
+  EXPECT_EQ(config.scheduler_workers(), 3u);
+}
+
 TEST(Refiner, InputSizeMismatchRejected) {
   const BlobModel model = small_phantom(8, 4);
   RefinerConfig config = fast_config();

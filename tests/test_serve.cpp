@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -243,6 +244,40 @@ TEST(Scheduler, PropagatesTaskExceptionAndStaysUsable) {
   EXPECT_EQ(ran.load(), 64u);
 }
 
+TEST(Scheduler, IdleWorkersBlockInsteadOfSpinning) {
+  // Workers with nothing to run must sleep on the condition variable,
+  // not poll their deques in a loop.  Spinning workers would burn
+  // ~4 x 300 ms of CPU here; blocked workers burn none.  The bound is
+  // generous enough for TSan slowdowns.
+  SchedulerOptions options;
+  options.workers = 4;
+  Scheduler scheduler(options);
+  scheduler.run(4, [](std::size_t) {});  // wake everyone once, then drain
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const std::clock_t cpu_before = std::clock();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu_seconds =
+      static_cast<double>(std::clock() - cpu_before) / CLOCKS_PER_SEC;
+  EXPECT_LT(cpu_seconds, 0.15)
+      << "idle scheduler burned CPU: workers are spinning, not blocking";
+}
+
+TEST(Scheduler, BatchSubmittedAfterWorkersFellAsleepCompletes) {
+  // The wake path: every round's workers have gone back to sleep
+  // before the next batch is published, so each batch completes only
+  // if submit() wakes them.
+  SchedulerOptions options;
+  options.workers = 4;
+  Scheduler scheduler(options);
+  for (int round = 0; round < 3; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::atomic<std::uint64_t> ran{0};
+    scheduler.submit(100, [&](std::size_t) { ran.fetch_add(1); })->wait();
+    EXPECT_EQ(ran.load(), 100u) << "round " << round;
+  }
+}
+
 // The tentpole determinism criterion: refinement results from the
 // work-stealing scheduler are bitwise-identical to the serial loop at
 // any worker count.
@@ -420,10 +455,12 @@ TEST(RefineService, EnforcesTenantQuotas) {
   const em::BlobModel model = small_phantom(l, 12);
   const auto set = make_views(model, l, 2, /*seed=*/31);
 
-  std::uint64_t fake_now = 1'000'000'000;
+  // Atomic: the dispatcher thread reads the clock while this thread
+  // advances it.
+  std::atomic<std::uint64_t> fake_now{1'000'000'000};
   ServiceOptions options;
   options.workers = 2;
-  options.clock_ns = [&fake_now] { return fake_now; };
+  options.clock_ns = [&fake_now] { return fake_now.load(); };
   options.tenants = {TenantConfig{"metered", /*rate=*/10.0, /*burst=*/2.0},
                      TenantConfig{"unlimited", 0.0, 0.0}};
   RefineService service(options);

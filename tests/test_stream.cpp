@@ -573,7 +573,7 @@ INSTANTIATE_TEST_SUITE_P(Depths, CursorDepths,
                            return "depth" + std::to_string(param_info.param);
                          });
 
-TEST(ViewCursor, SharedSchedulerAndShardedSourceStayOrdered) {
+TEST(ViewCursor, ShardedSourceStaysOrdered) {
   const fs::path dir = test_dir("cursor_sharded");
   const auto views = random_views(21, 8, 89);
   const std::string base = (dir / "v").string();
@@ -582,13 +582,9 @@ TEST(ViewCursor, SharedSchedulerAndShardedSourceStayOrdered) {
   write_sharded_stack(base, views, stack_options);
   ShardedViewSource source(base, stack_options);
 
-  serve::SchedulerOptions scheduler_options;
-  scheduler_options.workers = 2;
-  serve::Scheduler scheduler(scheduler_options);
   PrefetchOptions options;
   options.depth = 3;
   options.batch_views = 4;
-  options.scheduler = &scheduler;
   ViewCursor cursor(source, 0, views.size(), options);
   for (std::uint64_t i = 0; i < views.size(); ++i) {
     const double* pixels = cursor.next();
