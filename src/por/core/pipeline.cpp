@@ -5,6 +5,7 @@
 
 #include "por/obs/registry.hpp"
 #include "por/obs/span.hpp"
+#include "por/serve/scheduler.hpp"
 #include "por/util/log.hpp"
 
 namespace por::core {
@@ -24,21 +25,17 @@ metrics::FscCurve RefinementPipeline::odd_even_fsc(
     const std::vector<em::Orientation>& orientations,
     const std::vector<std::pair<double, double>>& centers,
     const recon::ReconOptions& options) {
-  std::vector<em::Image<double>> odd_views, even_views;
-  std::vector<em::Orientation> odd_orients, even_orients;
-  std::vector<std::pair<double, double>> odd_centers, even_centers;
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    auto& v = (i % 2 == 0) ? even_views : odd_views;
-    auto& o = (i % 2 == 0) ? even_orients : odd_orients;
-    auto& c = (i % 2 == 0) ? even_centers : odd_centers;
-    v.push_back(views[i]);
-    o.push_back(orientations[i]);
-    if (!centers.empty()) c.push_back(centers[i]);
-  }
-  const em::Volume<double> odd_map =
-      recon::fourier_reconstruct(odd_views, odd_orients, odd_centers, options);
-  const em::Volume<double> even_map = recon::fourier_reconstruct(
-      even_views, even_orients, even_centers, options);
+  // The half maps read the views in place: each is the batched
+  // reconstruction over one parity's indices, inserted in index order.
+  std::vector<std::size_t> halves[2];
+  for (std::size_t i = 0; i < views.size(); ++i) halves[i % 2].push_back(i);
+  serve::Scheduler scheduler;
+  const auto half_map = [&](const std::vector<std::size_t>& indices) {
+    return recon::fourier_reconstruct(scheduler, views, orientations, centers,
+                                      indices, options);
+  };
+  const em::Volume<double> odd_map = half_map(halves[1]);
+  const em::Volume<double> even_map = half_map(halves[0]);
   return metrics::fourier_shell_correlation(odd_map, even_map);
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "por/core/pipeline.hpp"
 #include "por/em/noise.hpp"
 #include "test_helpers.hpp"
@@ -141,6 +143,53 @@ TEST(OddEvenFsc, SplitsViewsInHalf) {
   // correlation near 1 at low shells.
   EXPECT_GT(curve.correlation[1], 0.9);
   EXPECT_GT(curve.correlation[2], 0.9);
+}
+
+/// The odd/even curve as the copy-based split computed it: each half's
+/// views, orientations and centers copied out, then inserted one view
+/// at a time.
+metrics::FscCurve copied_halves_fsc(
+    const std::vector<Image<double>>& views,
+    const std::vector<Orientation>& orientations,
+    const std::vector<std::pair<double, double>>& centers) {
+  const std::size_t l = views.front().nx();
+  recon::FourierAccumulator halves[2] = {{l, {}}, {l, {}}};
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const Image<double> view = views[i];
+    const Orientation o = orientations[i];
+    const auto c = centers.empty() ? std::pair{0.0, 0.0} : centers[i];
+    halves[i % 2].insert(view, o, c.first, c.second);
+  }
+  return metrics::fourier_shell_correlation(halves[1].finish(),
+                                            halves[0].finish());
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(OddEvenFsc, IsBitwiseTheCopiedSplit) {
+  for (const int count : {13, 14}) {
+    PipelineWorkload w(count, 2.0);
+    util::Rng rng(5);
+    std::vector<std::pair<double, double>> centers;
+    for (int i = 0; i < count; ++i) {
+      centers.emplace_back(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    }
+    for (const auto& c : {std::vector<std::pair<double, double>>{}, centers}) {
+      const auto curve = RefinementPipeline::odd_even_fsc(
+          w.views, w.initials, c, recon::ReconOptions{});
+      const auto reference = copied_halves_fsc(w.views, w.initials, c);
+      EXPECT_TRUE(same_bits(curve.correlation, reference.correlation))
+          << count << " views, centers " << !c.empty();
+      EXPECT_TRUE(same_bits(curve.shell_radius, reference.shell_radius));
+    }
+  }
+  PipelineWorkload one(1, 0.0);
+  EXPECT_THROW((void)RefinementPipeline::odd_even_fsc(
+                   one.views, one.truths, {}, recon::ReconOptions{}),
+               std::invalid_argument);
 }
 
 }  // namespace
