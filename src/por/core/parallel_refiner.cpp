@@ -15,7 +15,6 @@
 #include "por/em/projection.hpp"
 #include "por/fft/parallel_fft3d.hpp"
 #include "por/io/map_io.hpp"
-#include "por/io/stack_io.hpp"
 #include "por/io/orientation_io.hpp"
 #include "por/io/master_io.hpp"
 #include "por/journal/journal.hpp"
@@ -118,8 +117,8 @@ struct WorkerState {
 
 /// The shared steps (a)-(o) once the root holds the map and the
 /// orientations in memory and can reach the views through a
-/// stream::ViewSource (in-core vector, monolithic stack, or sharded
-/// stack — the protocol below never needs the whole stack resident).
+/// stream::ViewSource (in-core vector or sharded stack — the protocol
+/// below never needs the whole stack resident).
 /// `source_on_root` must be non-null on the root rank only.
 ParallelRefineReport refine_distributed(
     vmpi::Comm& comm, const em::Volume<double>& map_on_root, std::size_t l,
@@ -688,7 +687,6 @@ ParallelRefineReport parallel_refine_files(
     map = resilience::with_retry(retry, "read_map",
                                  [&] { return io::read_map(map_path); });
     stream::ShardedStackOptions shard_options;
-    shard_options.use_mmap = config.stream.use_mmap;
     shard_options.max_resident_bytes =
         config.stream.max_resident_mb * (std::size_t{1} << 20);
     shard_options.quarantine_corrupt = config.resilience.quarantine_views;

@@ -84,12 +84,12 @@ struct ParallelRefineReport {
 /// File-based SPMD driver covering the paper's I/O model: the master
 /// reads the map and the orientation file, *streams* the view stack in
 /// ranged groups (paper step b — the stack is never loaded whole), and
-/// writes the refined orientation file at the end.  `stack_path` may
-/// be a monolithic PORS stack or a sharded-stack manifest; either is
-/// consumed through a stream::ViewSource with config.stream's
-/// prefetch/residency knobs, so over a sharded stack the master's
-/// working set is bounded by config.stream.max_resident_mb instead of
-/// the stack size.  Results are bitwise-identical for both formats.
+/// writes the refined orientation file at the end.  `stack_path` is a
+/// sharded-stack manifest, consumed through a stream::ViewSource with
+/// config.stream's prefetch/residency knobs, so the master's working
+/// set is bounded by config.stream.max_resident_mb instead of the
+/// stack size.  Results are bitwise-identical to the in-memory driver
+/// and independent of the shard size.
 [[nodiscard]] ParallelRefineReport parallel_refine_files(
     vmpi::Comm& comm, const std::string& map_path,
     const std::string& stack_path, const std::string& orientations_in_path,

@@ -13,22 +13,16 @@
 #include <string>
 #include <vector>
 
-#include "por/em/grid.hpp"
 #include "por/io/orientation_io.hpp"
 #include "por/vmpi/comm.hpp"
 
 namespace por::io {
 
-/// Rank 0 reads the view stack and deals images round-robin-by-block:
-/// rank r receives views [r*m/P, (r+1)*m/P) plus one extra from the
-/// remainder if r < m mod P.  Returns this rank's views and stores the
-/// global index of its first view in `first_index`.
-[[nodiscard]] std::vector<em::Image<double>> master_read_views(
-    vmpi::Comm& comm, const std::string& stack_path,
-    std::size_t& first_index);
-
-/// Same block partition for orientation records (paper step c keeps a
-/// view and its orientation on the same node).
+/// Rank 0 reads the orientation file and deals records by block: rank
+/// r receives records [block_begin(m, P, r), +block_share(m, P, r)).
+/// The view pixels follow the same partition through the refinement
+/// drivers' ViewSource (paper step c keeps a view and its orientation
+/// on the same node).
 [[nodiscard]] std::vector<ViewOrientation> master_read_orientations(
     vmpi::Comm& comm, const std::string& orient_path);
 

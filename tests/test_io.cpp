@@ -7,8 +7,6 @@
 
 #include "por/io/map_io.hpp"
 #include "por/io/orientation_io.hpp"
-#include "por/io/pgm.hpp"
-#include "por/io/stack_io.hpp"
 #include "por/util/rng.hpp"
 
 namespace {
@@ -37,13 +35,6 @@ em::Volume<double> random_map(std::size_t l, std::uint64_t seed) {
   em::Volume<double> vol(l);
   for (double& v : vol.storage()) v = rng.uniform(-1, 1);
   return vol;
-}
-
-em::Image<double> random_image(std::size_t n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  em::Image<double> img(n, n);
-  for (double& v : img.storage()) v = rng.uniform(-1, 1);
-  return img;
 }
 
 // ---- map -------------------------------------------------------------------
@@ -83,50 +74,6 @@ TEST_F(IoTest, MapRejectsTruncatedFile) {
   io::write_map(path("t.porm"), vol);
   fs::resize_file(path("t.porm"), fs::file_size(path("t.porm")) / 2);
   EXPECT_THROW((void)io::read_map(path("t.porm")), std::runtime_error);
-}
-
-// ---- stack -----------------------------------------------------------------
-
-TEST_F(IoTest, StackRoundTrip) {
-  std::vector<em::Image<double>> stack;
-  for (int i = 0; i < 5; ++i) stack.push_back(random_image(7, 10 + i));
-  io::write_stack(path("s.pors"), stack);
-  const auto back = io::read_stack(path("s.pors"));
-  ASSERT_EQ(back.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(back[i], stack[i]);
-}
-
-TEST_F(IoTest, StackCountWithoutPixelData) {
-  std::vector<em::Image<double>> stack(3, random_image(4, 1));
-  io::write_stack(path("c.pors"), stack);
-  EXPECT_EQ(io::stack_count(path("c.pors")), 3u);
-}
-
-TEST_F(IoTest, StackRangeReadsMiddleSlice) {
-  std::vector<em::Image<double>> stack;
-  for (int i = 0; i < 7; ++i) stack.push_back(random_image(5, 100 + i));
-  io::write_stack(path("r.pors"), stack);
-  const auto middle = io::read_stack_range(path("r.pors"), 2, 3);
-  ASSERT_EQ(middle.size(), 3u);
-  EXPECT_EQ(middle[0], stack[2]);
-  EXPECT_EQ(middle[2], stack[4]);
-}
-
-TEST_F(IoTest, StackRangeRejectsOutOfBounds) {
-  std::vector<em::Image<double>> stack(2, random_image(4, 2));
-  io::write_stack(path("o.pors"), stack);
-  EXPECT_THROW((void)io::read_stack_range(path("o.pors"), 1, 2),
-               std::out_of_range);
-}
-
-TEST_F(IoTest, StackRejectsMixedSizes) {
-  std::vector<em::Image<double>> stack{random_image(4, 1), random_image(5, 2)};
-  EXPECT_THROW(io::write_stack(path("m.pors"), stack), std::invalid_argument);
-}
-
-TEST_F(IoTest, EmptyStackRoundTrip) {
-  io::write_stack(path("e.pors"), {});
-  EXPECT_EQ(io::stack_count(path("e.pors")), 0u);
 }
 
 // ---- orientations ------------------------------------------------------------
@@ -180,55 +127,6 @@ TEST_F(IoTest, OrientationRejectsMalformedLine) {
 TEST_F(IoTest, OrientationRejectsMissingFile) {
   EXPECT_THROW((void)io::read_orientations(path("nope.txt")),
                std::runtime_error);
-}
-
-// ---- pgm --------------------------------------------------------------------
-
-TEST_F(IoTest, PgmWritesValidHeaderAndSize) {
-  em::Image<double> img = random_image(12, 6);
-  io::write_pgm(path("img.pgm"), img);
-  std::ifstream in(path("img.pgm"), std::ios::binary);
-  std::string magic;
-  std::size_t w = 0, h = 0;
-  int maxval = 0;
-  in >> magic >> w >> h >> maxval;
-  EXPECT_EQ(magic, "P5");
-  EXPECT_EQ(w, 12u);
-  EXPECT_EQ(h, 12u);
-  EXPECT_EQ(maxval, 255);
-  in.get();  // single whitespace after header
-  std::vector<char> pixels(12 * 12);
-  in.read(pixels.data(), static_cast<std::streamsize>(pixels.size()));
-  EXPECT_EQ(in.gcount(), static_cast<std::streamsize>(pixels.size()));
-}
-
-TEST_F(IoTest, PgmNormalizesFullRange) {
-  em::Image<double> img(2, 2);
-  img(0, 0) = -5.0;
-  img(1, 1) = 5.0;
-  io::write_pgm(path("range.pgm"), img);
-  std::ifstream in(path("range.pgm"), std::ios::binary);
-  std::string line;
-  std::getline(in, line);  // P5
-  std::getline(in, line);  // dims
-  std::getline(in, line);  // maxval
-  unsigned char pixels[4];
-  in.read(reinterpret_cast<char*>(pixels), 4);
-  EXPECT_EQ(pixels[0], 0);    // minimum maps to 0
-  EXPECT_EQ(pixels[3], 255);  // maximum maps to 255
-}
-
-TEST_F(IoTest, PgmSectionTakesCentralSlice) {
-  em::Volume<double> vol(6, 0.0);
-  vol(3, 2, 4) = 1.0;  // central z-slice = 3
-  EXPECT_NO_THROW(io::write_pgm_section(path("sec.pgm"), vol));
-  EXPECT_THROW(io::write_pgm_section(path("bad.pgm"), em::Volume<double>{}),
-               std::invalid_argument);
-}
-
-TEST_F(IoTest, PgmRejectsEmptyImage) {
-  EXPECT_THROW(io::write_pgm(path("e.pgm"), em::Image<double>{}),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// por::stream suite (DESIGN.md §14): the slz4 codec, shard round
-// trips (compressed == uncompressed == monolithic, mmap == read()),
-// the corrupt-shard torture corpus (truncated / torn / bit-flipped
-// bytes are detected and either throw kCorrupt or quarantine under
-// the PR 5 taxonomy), cursor prefetch determinism at several depths,
+// por::stream suite (DESIGN.md §14): shard round trips (mmap ==
+// read(), one shard == many shards == memory), the corrupt-shard
+// torture corpus (truncated / torn / bit-flipped bytes, set reserved
+// fields and hostile manifests with valid CRCs are detected and either
+// throw kCorrupt or quarantine under the resilience taxonomy of
+// DESIGN.md §10), cursor prefetch determinism at several depths,
 // and end-to-end bitwise identity of the streamed refinement drivers
 // against their in-core equivalents — including resume-from-
 // checkpoint over shards and the BrickStore spill path.
@@ -14,6 +15,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -24,12 +26,11 @@
 #include "por/em/interp.hpp"
 #include "por/io/map_io.hpp"
 #include "por/io/orientation_io.hpp"
-#include "por/io/stack_io.hpp"
 #include "por/journal/journal.hpp"
+#include "por/resilience/crc32.hpp"
 #include "por/resilience/error.hpp"
 #include "por/stream/shard_mapping.hpp"
 #include "por/stream/sharded_stack.hpp"
-#include "por/stream/slz4.hpp"
 #include "por/stream/view_cursor.hpp"
 #include "por/stream/view_source.hpp"
 #include "por/util/rng.hpp"
@@ -82,99 +83,6 @@ bool images_bitwise_equal(const Image<double>& a, const Image<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-// ---- slz4 ------------------------------------------------------------------
-
-std::vector<unsigned char> slz4_round_trip(
-    const std::vector<unsigned char>& raw) {
-  std::vector<unsigned char> packed(slz4_max_compressed_size(raw.size()));
-  const std::size_t packed_bytes =
-      slz4_compress(raw.data(), raw.size(), packed.data(), packed.size());
-  EXPECT_GT(packed_bytes, 0u);
-  packed.resize(packed_bytes);
-  std::vector<unsigned char> unpacked(raw.size());
-  slz4_decompress(packed.data(), packed.size(), unpacked.data(),
-                  unpacked.size());
-  return unpacked;
-}
-
-TEST(Slz4, CompressibleRoundTripShrinks) {
-  std::vector<unsigned char> raw(8192);
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    raw[i] = static_cast<unsigned char>((i / 96) * 3);  // long runs
-  }
-  std::vector<unsigned char> packed(slz4_max_compressed_size(raw.size()));
-  const std::size_t packed_bytes =
-      slz4_compress(raw.data(), raw.size(), packed.data(), packed.size());
-  ASSERT_GT(packed_bytes, 0u);
-  EXPECT_LT(packed_bytes, raw.size() / 4);
-  EXPECT_EQ(slz4_round_trip(raw), raw);
-}
-
-TEST(Slz4, RandomBytesRoundTrip) {
-  util::Rng rng(11);
-  std::vector<unsigned char> raw(4096 + 37);
-  for (auto& b : raw) b = static_cast<unsigned char>(rng.uniform(0, 256));
-  EXPECT_EQ(slz4_round_trip(raw), raw);
-}
-
-TEST(Slz4, TinyInputsRoundTrip) {
-  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                              std::size_t{15}, std::size_t{64}}) {
-    std::vector<unsigned char> raw(n, 0x5a);
-    EXPECT_EQ(slz4_round_trip(raw), raw) << "n=" << n;
-  }
-}
-
-TEST(Slz4, IncompressibleRefusesTightCapacity) {
-  util::Rng rng(13);
-  std::vector<unsigned char> raw(1024);
-  for (auto& b : raw) b = static_cast<unsigned char>(rng.uniform(0, 256));
-  std::vector<unsigned char> dst(raw.size() - 1);
-  // Random bytes cannot fit below their own size: the writer then
-  // stores the view raw — exactly the shard layer's fallback contract.
-  EXPECT_EQ(slz4_compress(raw.data(), raw.size(), dst.data(), dst.size()), 0u);
-}
-
-TEST(Slz4, DeterministicOutput) {
-  std::vector<unsigned char> raw(2048);
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    raw[i] = static_cast<unsigned char>(i % 61);
-  }
-  std::vector<unsigned char> a(slz4_max_compressed_size(raw.size()));
-  std::vector<unsigned char> b(a.size());
-  const std::size_t na = slz4_compress(raw.data(), raw.size(), a.data(),
-                                       a.size());
-  const std::size_t nb = slz4_compress(raw.data(), raw.size(), b.data(),
-                                       b.size());
-  ASSERT_EQ(na, nb);
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), na), 0);
-}
-
-TEST(Slz4, CorruptStreamsThrowNotCrash) {
-  std::vector<unsigned char> raw(512);
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    raw[i] = static_cast<unsigned char>(i % 7);
-  }
-  std::vector<unsigned char> packed(slz4_max_compressed_size(raw.size()));
-  const std::size_t packed_bytes =
-      slz4_compress(raw.data(), raw.size(), packed.data(), packed.size());
-  ASSERT_GT(packed_bytes, 0u);
-  std::vector<unsigned char> out(raw.size());
-
-  // Truncation at every prefix must throw kCorrupt, never read past
-  // the buffer or return silently-wrong bytes.
-  for (std::size_t cut = 0; cut < packed_bytes; ++cut) {
-    EXPECT_THROW(slz4_decompress(packed.data(), cut, out.data(), out.size()),
-                 resilience::Error)
-        << "cut=" << cut;
-  }
-  // A zero offset is malformed by construction.
-  std::vector<unsigned char> zero_offset = {0x01, 0xaa, 0x00, 0x00};
-  EXPECT_THROW(slz4_decompress(zero_offset.data(), zero_offset.size(),
-                               out.data(), out.size()),
-               resilience::Error);
-}
-
 // ---- ShardMapping ----------------------------------------------------------
 
 TEST(ShardMapping, MmapAndReadPathsAreBitwiseIdentical) {
@@ -216,19 +124,16 @@ TEST(ShardMapping, MissingFileIsTransientEmptyFileIsCorrupt) {
 
 // ---- sharded stack round trips ---------------------------------------------
 
-class ShardRoundTrip : public ::testing::TestWithParam<std::tuple<bool, bool>> {
-};
+class ShardRoundTrip : public ::testing::TestWithParam<bool> {};
 
 TEST_P(ShardRoundTrip, BitwiseEqualToSourceViews) {
-  const auto [compress, use_mmap] = GetParam();
-  const fs::path dir = test_dir(std::string("roundtrip_") +
-                                (compress ? "c" : "r") +
-                                (use_mmap ? "m" : "h"));
+  const bool use_mmap = GetParam();
+  const fs::path dir =
+      test_dir(std::string("roundtrip_") + (use_mmap ? "m" : "h"));
   const auto views = random_views(23, 12, 17);
 
   ShardedStackOptions options;
   options.views_per_shard = 5;
-  options.compress = compress;
   options.use_mmap = use_mmap;
   const std::string base = (dir / "views.shards").string();
   write_sharded_stack(base, views, options);
@@ -238,7 +143,6 @@ TEST_P(ShardRoundTrip, BitwiseEqualToSourceViews) {
   ASSERT_EQ(stack.ny(), 12u);
   ASSERT_EQ(stack.nx(), 12u);
   EXPECT_EQ(stack.shard_count(), 5u);  // ceil(23 / 5)
-  EXPECT_EQ(stack.compressed(), compress);
 
   std::vector<double> pixels(stack.view_pixels());
   for (std::uint64_t i = 0; i < stack.count(); ++i) {
@@ -250,63 +154,26 @@ TEST_P(ShardRoundTrip, BitwiseEqualToSourceViews) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Modes, ShardRoundTrip,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
-    [](const auto& param_info) {
-      return std::string(std::get<0>(param_info.param) ? "compressed"
-                                                       : "raw") +
-             (std::get<1>(param_info.param) ? "Mmap" : "Heap");
-    });
+INSTANTIATE_TEST_SUITE_P(Modes, ShardRoundTrip, ::testing::Bool(),
+                         [](const auto& param_info) {
+                           return std::string(param_info.param ? "Mmap"
+                                                               : "Heap");
+                         });
 
-TEST(ShardedStack, CompressedAndRawStoresDecodeIdentically) {
-  const fs::path dir = test_dir("c_vs_r");
-  // Analytic projections compress (smooth), so the compressed store
-  // genuinely exercises slz4 — then both stores must decode to the
-  // same bits.
-  const auto model = small_phantom(16, 8);
-  std::vector<Image<double>> views;
-  util::Rng rng(23);
-  for (int i = 0; i < 11; ++i) {
-    views.push_back(
-        model.project_analytic(16, por::test::random_orientation(rng)));
+TEST(ShardedStack, WriterRejectsMixedViewSizes) {
+  const fs::path dir = test_dir("mixed_sizes");
+  const std::string base = (dir / "v").string();
+  ShardedStackWriter writer(base, 8, 8);
+  writer.append(random_views(1, 8, 31).front());
+  try {
+    writer.append(Image<double>(8, 9));
+    FAIL() << "expected fatal error";
+  } catch (const resilience::Error& error) {
+    EXPECT_EQ(error.kind(), resilience::ErrorKind::kFatal);
   }
-  ShardedStackOptions raw_opts;
-  raw_opts.views_per_shard = 4;
-  ShardedStackOptions packed_opts = raw_opts;
-  packed_opts.compress = true;
-  write_sharded_stack((dir / "raw").string(), views, raw_opts);
-  write_sharded_stack((dir / "packed").string(), views, packed_opts);
-
-  ShardedStack raw((dir / "raw").string());
-  ShardedStack packed((dir / "packed").string());
-  // Compression must actually engage on smooth views...
-  EXPECT_LT(fs::file_size(shard_path((dir / "packed").string(), 0)),
-            fs::file_size(shard_path((dir / "raw").string(), 0)));
-  // ...and cost nothing in fidelity.
-  std::vector<double> a(raw.view_pixels()), b(raw.view_pixels());
-  for (std::uint64_t i = 0; i < raw.count(); ++i) {
-    ASSERT_TRUE(raw.read_view(i, a.data()));
-    ASSERT_TRUE(packed.read_view(i, b.data()));
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
-  }
-}
-
-TEST(ShardedStack, StackFileRoundTripIsByteIdentical) {
-  const fs::path dir = test_dir("pors_roundtrip");
-  const auto views = random_views(17, 10, 29);
-  const std::string stack_path = (dir / "views.pors").string();
-  io::write_stack(stack_path, views);
-
-  ShardedStackOptions options;
-  options.views_per_shard = 6;
-  options.compress = true;
-  const std::string base = (dir / "views.shards").string();
-  shard_stack_file(stack_path, base, options);
-
-  const std::string back = (dir / "back.pors").string();
-  unshard_to_stack(base, back);
-  EXPECT_EQ(slurp(stack_path), slurp(back));
+  EXPECT_THROW(write_sharded_stack(base, {Image<double>(4, 4),
+                                          Image<double>(5, 4)}),
+               resilience::Error);
 }
 
 TEST(ShardedStack, ResidencyBudgetEvictsButStaysCorrect) {
@@ -365,11 +232,10 @@ struct TortureStack {
   std::vector<Image<double>> views;
   std::string base;
 
-  explicit TortureStack(const std::string& name, bool compress = false)
+  explicit TortureStack(const std::string& name)
       : dir(test_dir(name)), views(random_views(12, 8, 67)) {
     ShardedStackOptions options;
     options.views_per_shard = 4;
-    options.compress = compress;
     base = (dir / "v").string();
     write_sharded_stack(base, views, options);
   }
@@ -495,6 +361,124 @@ TEST(ShardTorture, CorruptManifestNeverOpens) {
   }
 }
 
+void expect_corrupt(const std::function<void()>& action) {
+  try {
+    action();
+    FAIL() << "expected corrupt error";
+  } catch (const resilience::Error& error) {
+    EXPECT_EQ(error.kind(), resilience::ErrorKind::kCorrupt);
+  }
+}
+
+void put_field(std::string& bytes, std::size_t offset, std::uint64_t value,
+               std::size_t width) {
+  std::memcpy(bytes.data() + offset, &value, width);
+}
+
+/// Edit a file's CRC-covered bytes [8, crc_at) and re-seal the CRC at
+/// `crc_at`, so the edit reaches the plausibility checks behind it.
+void edit_and_reseal(const std::string& path, std::size_t crc_at,
+                     const std::function<void(std::string&)>& edit) {
+  std::string bytes = slurp(path);
+  edit(bytes);
+  put_field(bytes, crc_at, resilience::crc32(bytes.data() + 8, crc_at - 8),
+            4);
+  spew(path, bytes);
+}
+
+constexpr std::size_t kManifestCrcAt = 56;
+constexpr std::size_t kShardCrcAt = 48 + 4 * 24;  // 4 views per shard
+
+TEST(ShardTorture, WrappingManifestCountIsCorrupt) {
+  // count = 2^64 - 1 with 2 views per shard claims 2^63 shards; a
+  // shard count computed as (count + vps - 1) / vps wraps to 0 and
+  // would agree with shard_count = 0, leaving read_view(0) to index an
+  // empty shard table.
+  TortureStack t("wrapping_manifest");
+  edit_and_reseal(t.base, kManifestCrcAt, [](std::string& m) {
+    put_field(m, 8, ~std::uint64_t{0}, 8);  // count
+    put_field(m, 32, 2, 8);                 // views_per_shard
+    put_field(m, 40, 0, 8);                 // shard_count
+  });
+  expect_corrupt([&] { ShardedStack stack(t.base); });
+}
+
+TEST(ShardTorture, ResealedManifestsWithBadFieldsAreCorrupt) {
+  TortureStack t("bad_manifest_fields");
+  const std::string pristine = slurp(t.base);
+  const auto rejects = [&](const std::function<void(std::string&)>& edit) {
+    spew(t.base, pristine);
+    edit_and_reseal(t.base, kManifestCrcAt, edit);
+    expect_corrupt([&] { ShardedStack stack(t.base); });
+  };
+  rejects([](std::string& m) { put_field(m, 40, 4, 8); });   // 12 / 4 != 4
+  rejects([](std::string& m) { put_field(m, 32, 0, 8); });   // no views/shard
+  rejects([](std::string& m) { put_field(m, 16, 0, 8); });   // ny = 0
+  rejects([](std::string& m) { m[48] = 1; });                 // reserved
+  rejects([](std::string& m) {  // consistent, but 2^32 shard files
+    put_field(m, 8, std::uint64_t{1} << 32, 8);
+    put_field(m, 32, 1, 8);
+    put_field(m, 40, std::uint64_t{1} << 32, 8);
+  });
+}
+
+TEST(ShardTorture, ResealedShardsWithBadFieldsAreCorrupt) {
+  TortureStack t("bad_shard_fields");
+  const std::string shard = shard_path(t.base, 0);
+  const std::string pristine = slurp(shard);
+  const std::size_t view_bytes = 8 * 8 * sizeof(double);
+  const auto rejects = [&](const std::function<void(std::string&)>& edit) {
+    spew(shard, pristine);
+    edit_and_reseal(shard, kShardCrcAt, edit);
+    ShardedStack strict(t.base);
+    std::vector<double> pixels(strict.view_pixels());
+    expect_corrupt([&] { (void)strict.read_view(0, pixels.data()); });
+    // Quarantine degrades the whole shard; its neighbours stay clean.
+    ShardedStackOptions options;
+    options.quarantine_corrupt = true;
+    ShardedStack forgiving(t.base, options);
+    EXPECT_FALSE(forgiving.read_view(0, pixels.data()));
+    EXPECT_EQ(forgiving.quarantined_shards(), 1u);
+    ASSERT_TRUE(forgiving.read_view(4, pixels.data()));
+  };
+  rejects([](std::string& h) { h[40] = 1; });  // shard reserved byte
+  rejects([](std::string& h) { put_field(h, 48 + 20, 1, 4); });  // index word
+  rejects([&](std::string& h) {  // stored size below ny*nx*8
+    put_field(h, 48 + 8, view_bytes - 8, 8);
+  });
+  rejects([&](std::string& h) {  // payload offset past the file end
+    put_field(h, 48, std::uint64_t{1} << 62, 8);
+  });
+}
+
+TEST(ShardedStack, WriterBytesArePinned) {
+  // The on-disk bytes of a fixed stack, pinned by CRC-32: any change to
+  // what the writer emits (layout, reserved bytes, alignment) breaks
+  // every stack already on disk and must show up here.
+  const fs::path dir = test_dir("pinned");
+  std::vector<Image<double>> views;
+  for (int v = 0; v < 5; ++v) {
+    Image<double> view(3, 2);
+    for (std::size_t i = 0; i < view.size(); ++i) {
+      view.data()[i] = 0.25 * v - 1.5 * static_cast<double>(i);
+    }
+    views.push_back(view);
+  }
+  ShardedStackOptions options;
+  options.views_per_shard = 2;
+  const std::string base = (dir / "g").string();
+  write_sharded_stack(base, views, options);
+  const auto crc_of = [](const std::string& path) {
+    const std::string bytes = slurp(path);
+    return resilience::crc32(bytes.data(), bytes.size());
+  };
+  EXPECT_EQ(fs::file_size(base), 60u);
+  EXPECT_EQ(crc_of(base), 0xf4222ef4u);
+  EXPECT_EQ(crc_of(shard_path(base, 0)), 0x8fda237eu);
+  EXPECT_EQ(crc_of(shard_path(base, 1)), 0x57c25e74u);
+  EXPECT_EQ(crc_of(shard_path(base, 2)), 0xda071d75u);
+}
+
 TEST(ShardTorture, AbandonedWriterLeavesNoManifest) {
   const fs::path dir = test_dir("abandoned");
   const auto views = random_views(6, 8, 71);
@@ -512,27 +496,26 @@ TEST(ShardTorture, AbandonedWriterLeavesNoManifest) {
 TEST(ViewSource, AllBackingsProduceIdenticalPixels) {
   const fs::path dir = test_dir("sources");
   const auto views = random_views(9, 10, 79);
-  const std::string stack_path = (dir / "v.pors").string();
-  const std::string base = (dir / "v.shards").string();
-  io::write_stack(stack_path, views);
+  const std::string one_base = (dir / "one").string();
+  const std::string many_base = (dir / "many").string();
+  write_sharded_stack(one_base, views);  // 64 views per shard: one shard
   ShardedStackOptions options;
   options.views_per_shard = 4;
-  options.compress = true;
-  shard_stack_file(stack_path, base, options);
+  write_sharded_stack(many_base, views, options);
+  EXPECT_EQ(ShardedStack(one_base).shard_count(), 1u);
+  EXPECT_EQ(ShardedStack(many_base).shard_count(), 3u);
 
   MemoryViewSource memory(views);
-  const auto stacked = open_view_source(stack_path);
-  const auto sharded = open_view_source(base);
-  ASSERT_TRUE(dynamic_cast<StackViewSource*>(stacked.get()) != nullptr);
-  ASSERT_TRUE(dynamic_cast<ShardedViewSource*>(sharded.get()) != nullptr);
-  ASSERT_EQ(stacked->count(), views.size());
-  ASSERT_EQ(sharded->count(), views.size());
+  const auto one = open_view_source(one_base);
+  const auto many = open_view_source(many_base);
+  ASSERT_EQ(one->count(), views.size());
+  ASSERT_EQ(many->count(), views.size());
 
   std::vector<double> a(memory.view_pixels()), b(a.size()), c(a.size());
   for (std::uint64_t i = 0; i < memory.count(); ++i) {
     memory.fetch(i, a.data());
-    stacked->fetch(i, b.data());
-    sharded->fetch(i, c.data());
+    one->fetch(i, b.data());
+    many->fetch(i, c.data());
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
     EXPECT_EQ(std::memcmp(a.data(), c.data(), a.size() * sizeof(double)), 0);
   }
@@ -666,7 +649,6 @@ TEST(RefineStream, BitwiseIdenticalToInCoreRefine) {
   const std::string base = (dir / "v").string();
   ShardedStackOptions stack_options;
   stack_options.views_per_shard = 2;
-  stack_options.compress = true;
   write_sharded_stack(base, w.views, stack_options);
   ShardedViewSource source(base, stack_options);
   const auto streamed =
@@ -684,16 +666,17 @@ TEST_P(StreamedDrivers, ShardedMonolithicAndInMemoryAgreeBitwise) {
   config.stream.batch_views = 3;
   config.stream.max_resident_mb = 1;
 
+  // The "monolithic" side is a one-shard stack (the default 64 views
+  // per shard hold all 8), the sharded side 3 views per shard.
   const std::string map_path = (dir / "map.porm").string();
-  const std::string stack_path = (dir / "v.pors").string();
+  const std::string stack_path = (dir / "v.one").string();
   const std::string base = (dir / "v.shards").string();
   const std::string orient_in = (dir / "in.txt").string();
   io::write_map(map_path, w.map);
-  io::write_stack(stack_path, w.views);
+  write_sharded_stack(stack_path, w.views);
   ShardedStackOptions stack_options;
   stack_options.views_per_shard = 3;
-  stack_options.compress = true;
-  shard_stack_file(stack_path, base, stack_options);
+  write_sharded_stack(base, w.views, stack_options);
   std::vector<io::ViewOrientation> records;
   for (std::size_t i = 0; i < w.views.size(); ++i) {
     records.push_back(io::ViewOrientation{i, w.initials[i], 0.0, 0.0});
@@ -702,7 +685,7 @@ TEST_P(StreamedDrivers, ShardedMonolithicAndInMemoryAgreeBitwise) {
 
   // The orientation text file keeps 10 digits, so feed the in-memory
   // run the same post-round-trip initials the file drivers will read —
-  // the bitwise comparison is then about the storage formats only.
+  // the bitwise comparison is then about the shard layouts only.
   std::vector<Orientation> initials;
   std::vector<std::pair<double, double>> centers;
   for (const auto& record : io::read_orientations(orient_in)) {
@@ -736,7 +719,7 @@ TEST_P(StreamedDrivers, ShardedMonolithicAndInMemoryAgreeBitwise) {
   expect_identical_results(in_memory, monolithic);
   expect_identical_results(in_memory, sharded);
   // The written orientation files are the acceptance artifact: byte
-  // identical across the storage formats.
+  // identical across shard layouts.
   EXPECT_EQ(slurp(out_mono), slurp(out_shard));
 }
 
