@@ -8,8 +8,13 @@
 // wire would carry — bytes and messages per phase as the rank count
 // grows — plus per-rank matching counts to show the embarrassingly
 // parallel load balance of the view partition.
+//
+// Self-gating: exits 1 when the total matching count differs across
+// P, since the view partition must not change what is refined.
 
+#include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "bench_helpers.hpp"
 #include "por/core/parallel_refiner.hpp"
@@ -46,6 +51,7 @@ int main() {
 
   util::Table table({"P", "messages", "bytes (MB)", "bytes / padded volume",
                      "views/rank (min..max)", "matchings total"});
+  std::vector<std::uint64_t> matchings;
   for (int p : {1, 2, 4, 8}) {
     core::ParallelRefineReport report;
     const vmpi::RunReport run_report = vmpi::run(p, [&](vmpi::Comm& comm) {
@@ -62,6 +68,7 @@ int main() {
          util::fmt(static_cast<double>(run_report.bytes) / 1e6 / volume_mb, 2),
          std::to_string(lo) + ".." + std::to_string(hi),
          util::fmt_grouped(static_cast<long long>(report.total_matchings))});
+    matchings.push_back(report.total_matchings);
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(
@@ -84,5 +91,14 @@ int main() {
       "matching counts above that is orders of magnitude more traffic\n"
       "than one-time replication — the paper's trade-off, quantified.\n",
       slice_mb);
+
+  for (const std::uint64_t m : matchings) {
+    if (m != matchings.front()) {
+      std::printf("\nFAILED: total matchings differ across rank counts\n");
+      return 1;
+    }
+  }
+  std::printf("\nrank-count invariance: PASSED (%llu matchings at every P)\n",
+              static_cast<unsigned long long>(matchings.front()));
   return 0;
 }

@@ -160,18 +160,8 @@ void FourierAccumulator::insert(const em::Image<double>& view,
     spectrum = view_spectrum(view, options.pad, center_x, center_y);
   }
   const obs::ScopedSpan span("recon.insert");
-  insert_spectrum(spectrum, o);
-}
-
-void FourierAccumulator::insert_spectrum(const em::Image<em::cdouble>& spectrum,
-                                         const em::Orientation& o) {
-  const std::size_t big = values.nx();
-  if (spectrum.nx() != big || spectrum.ny() != big) {
-    throw std::invalid_argument(
-        "FourierAccumulator::insert_spectrum: spectrum size");
-  }
-  splat(values, weights, options.r_max, spectrum, section_axes(o), 0,
-        static_cast<long>(big));
+  const long big = static_cast<long>(values.nx());
+  splat(values, weights, options.r_max, spectrum, section_axes(o), 0, big);
   ++view_count;
 }
 
@@ -247,17 +237,6 @@ em::Volume<double> FourierAccumulator::finish() const {
   // density units directly (verified against rasterized phantoms in
   // tests/test_recon.cpp).
   return em::crop_volume(padded, l);
-}
-
-void FourierAccumulator::merge(const FourierAccumulator& other) {
-  if (other.values.size() != values.size()) {
-    throw std::invalid_argument("FourierAccumulator::merge: size mismatch");
-  }
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values.storage()[i] += other.values.storage()[i];
-    weights.storage()[i] += other.weights.storage()[i];
-  }
-  view_count += other.view_count;
 }
 
 em::Volume<double> fourier_reconstruct(

@@ -55,10 +55,6 @@ struct FourierAccumulator {
   void insert(const em::Image<double>& view, const em::Orientation& o,
               double center_x = 0.0, double center_y = 0.0);
 
-  /// Insert an already-computed centered padded spectrum.
-  void insert_spectrum(const em::Image<em::cdouble>& spectrum,
-                       const em::Orientation& o);
-
   /// Insert views[i] (with orientations[i] and, when `centers` is not
   /// empty, centers[i]) for every i in `indices`, in that order, on
   /// `scheduler`.  Bitwise identical to calling insert() for each
@@ -72,9 +68,6 @@ struct FourierAccumulator {
 
   /// Normalize, inverse-transform and crop to the original edge l.
   [[nodiscard]] em::Volume<double> finish() const;
-
-  /// Element-wise merge of another accumulator (for tree reductions).
-  void merge(const FourierAccumulator& other);
 
   std::size_t l;                       ///< original (cropped) edge
   ReconOptions options;

@@ -15,6 +15,9 @@ em::Volume<double> parallel_fourier_reconstruct(
     throw std::invalid_argument(
         "parallel_fourier_reconstruct: views/orientations");
   }
+  if (!my_centers.empty() && my_centers.size() != my_views.size()) {
+    throw std::invalid_argument("parallel_fourier_reconstruct: centers size");
+  }
   FourierAccumulator acc(l, options);
   for (std::size_t i = 0; i < my_views.size(); ++i) {
     const double cx = my_centers.empty() ? 0.0 : my_centers[i].first;

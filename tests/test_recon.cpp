@@ -105,30 +105,6 @@ TEST(FourierRecon, RejectsBadInputs) {
       std::invalid_argument);
 }
 
-TEST(Accumulator, MergeEqualsJointInsertion) {
-  const std::size_t l = 16;
-  const BlobModel model = small_phantom(l, 8);
-  const auto set = make_views(model, l, 8, 7);
-  recon::ReconOptions options;
-
-  recon::FourierAccumulator joint(l, options);
-  for (std::size_t i = 0; i < set.views.size(); ++i) {
-    joint.insert(set.views[i], set.orientations[i]);
-  }
-  recon::FourierAccumulator first(l, options), second(l, options);
-  for (std::size_t i = 0; i < 4; ++i) {
-    first.insert(set.views[i], set.orientations[i]);
-  }
-  for (std::size_t i = 4; i < 8; ++i) {
-    second.insert(set.views[i], set.orientations[i]);
-  }
-  first.merge(second);
-  EXPECT_EQ(first.view_count, joint.view_count);
-  const Volume<double> a = first.finish();
-  const Volume<double> b = joint.finish();
-  EXPECT_LT(por::test::max_abs_diff(a, b), 1e-10);
-}
-
 /// Views with off-center particles.  The first three orientations put
 /// exact zeros in the section axes' z components, the edge cases of the
 /// slab kernel's row interval: theta = 0 makes eu.z = ev.z = 0 (the
@@ -374,6 +350,20 @@ TEST(ParallelRecon, RankWithNoViewsParticipates) {
     maps[comm.rank()] = recon::parallel_fourier_reconstruct(comm, l, mine, mine_o);
   });
   EXPECT_LT(por::test::max_abs_diff(maps[0], maps[2]), 1e-12);
+}
+
+TEST(ParallelRecon, RejectsMismatchedCenters) {
+  // A non-empty centers list must cover every view; a short one would
+  // be read past its end.
+  const std::size_t l = 16;
+  const CenteredViews set = centered_views(l, 4, 5);
+  const std::vector<std::pair<double, double>> short_centers(
+      set.centers.begin(), set.centers.begin() + 2);
+  vmpi::run(1, [&](vmpi::Comm& comm) {
+    EXPECT_THROW((void)recon::parallel_fourier_reconstruct(
+                     comm, l, set.views, set.orientations, short_centers),
+                 std::invalid_argument);
+  });
 }
 
 }  // namespace

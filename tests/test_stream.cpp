@@ -6,7 +6,7 @@
 // DESIGN.md §10), cursor prefetch determinism at several depths,
 // and end-to-end bitwise identity of the streamed refinement drivers
 // against their in-core equivalents — including resume-from-
-// checkpoint over shards and the BrickStore spill path.
+// checkpoint over shards.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,11 +19,9 @@
 #include <string>
 #include <vector>
 
-#include "por/core/brick_store.hpp"
 #include "por/core/parallel_refiner.hpp"
 #include "por/core/refiner.hpp"
 #include "por/core/view_record.hpp"
-#include "por/em/interp.hpp"
 #include "por/io/map_io.hpp"
 #include "por/io/orientation_io.hpp"
 #include "por/journal/journal.hpp"
@@ -783,49 +781,6 @@ TEST(StreamedDrivers, ResumeFromCheckpointOverShardsIsIdentical) {
   EXPECT_EQ(restored, all_records.size() / 2);
   expect_identical_results(full, resumed);
   EXPECT_EQ(slurp(out_full), slurp(out_resumed));
-}
-
-// ---- brick spill -----------------------------------------------------------
-
-TEST(BrickSpill, SpilledStoreSamplesIdenticallyToInMemory) {
-  const fs::path dir = test_dir("brick_spill");
-  const std::size_t edge = 16;
-  util::Rng seed_rng(5);
-  Volume<cdouble> truth(edge);
-  for (auto& v : truth.storage()) {
-    v = {seed_rng.uniform(-1, 1), seed_rng.uniform(-1, 1)};
-  }
-
-  std::vector<double> worst(2, 1.0);
-  std::vector<std::uint64_t> spilled(2, 0);
-  vmpi::run(2, [&](vmpi::Comm& comm) {
-    BrickStoreConfig config;
-    config.brick_edge = 4;
-    config.cache_bricks = 8;
-    config.spill_dir = dir.string();
-    BrickStore store(comm, comm.is_root() ? truth : Volume<cdouble>{}, edge,
-                     config);
-    store.start_server();
-    util::Rng rng(200 + comm.rank());
-    double local_worst = 0.0;
-    for (int trial = 0; trial < 100; ++trial) {
-      const double z = rng.uniform(0.0, edge - 1.0);
-      const double y = rng.uniform(0.0, edge - 1.0);
-      const double x = rng.uniform(0.0, edge - 1.0);
-      local_worst = std::max(
-          local_worst,
-          std::abs(store.sample(z, y, x) - interp_trilinear(truth, z, y, x)));
-    }
-    worst[comm.rank()] = local_worst;
-    spilled[comm.rank()] = store.spilled_bytes();
-    store.stop_server();
-  });
-  for (int r = 0; r < 2; ++r) {
-    EXPECT_LT(worst[r], 1e-12) << "rank " << r;
-    EXPECT_GT(spilled[r], 0u) << "rank " << r;
-    EXPECT_TRUE(fs::exists(dir / ("bricks.rank" + std::to_string(r) +
-                                  ".porb")));
-  }
 }
 
 }  // namespace
